@@ -24,9 +24,12 @@ race:
 	$(GO) test -race ./internal/lm/ ./internal/optimize/ ./internal/numcheck/
 
 # Fault-injection suite: fit robustness plus the registry's crash/corruption
-# chaos tests, under the race detector.
+# chaos tests, under the race detector. TestChaosStreamLog* truncate and
+# corrupt stream tick logs; the stream tests after them pin what an append
+# must have made durable when it returns, or when it races a delete.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestWriteFileAtomicCleansUp|TestLegacy' ./internal/registry/
+	$(GO) test -race -run 'TestStreamRefitErrorAppendPersisted|TestDeleteStreamDuringRefitStaysDeleted|TestPersistedAppendSyncedBeforeAck|TestStreamCompactionReasons' ./internal/registry/
 	$(GO) test -race ./internal/faultfs/
 	$(GO) test -race -run 'Rejects|ContainsPanic|ContainsWorkerPanic|ContainsCellPanic|TestSimulateSanitises|TestFitGlobalValidatesTensor' ./internal/core/
 	# Hostile-input matrix and overload resilience: the five adversarial
@@ -67,6 +70,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzReadModel -fuzztime=30s ./internal/dataset/
 	$(GO) test -fuzz=FuzzDecodeManifest -fuzztime=30s ./internal/registry/
 	$(GO) test -fuzz=FuzzRestoreState -fuzztime=30s -fuzzminimizetime=5s ./internal/registry/
+	$(GO) test -fuzz=FuzzDecodeTickLog -fuzztime=30s ./internal/registry/
 	$(GO) test -fuzz=FuzzFitSequence -fuzztime=30s -fuzzminimizetime=5s ./internal/core/
 	$(GO) test -fuzz=FuzzJacobianConsistency -fuzztime=30s ./internal/core/
 

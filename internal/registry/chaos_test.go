@@ -52,6 +52,11 @@ func countPutOps(t *testing.T) int {
 	if _, err := r.Put("probe", testModel(2)); err != nil {
 		t.Fatal(err)
 	}
+	return injectedOps(in)
+}
+
+// injectedOps totals the operations an injector has counted.
+func injectedOps(in *faultfs.Injector) int {
 	n := in.Count(faultfs.OpAny)
 	for _, op := range []string{faultfs.OpCreate, faultfs.OpWrite, faultfs.OpSync,
 		faultfs.OpClose, faultfs.OpRename, faultfs.OpRemove, faultfs.OpRead,
@@ -342,49 +347,73 @@ func TestChaosGetQuarantinesTamperedModel(t *testing.T) {
 	}
 }
 
-// TestChaosStreamSnapshotFaults faults every operation of a stream
-// snapshot write: the append itself must survive in memory (the fit is not
-// lost), the caller sees the persistence error, and a clean reopen finds
-// either the previous snapshot or none — never a torn one.
+// TestChaosStreamSnapshotFaults faults every filesystem operation of a
+// persisted stream append, with an error (opN) and with a short write
+// (opN_short). The first positions are the operations of a plain append,
+// which logs a tick record; the rest those of a compacting append, which
+// writes a fresh snapshot. The append itself must survive in memory (the
+// fit is not lost), the caller sees the persistence error, and a clean
+// reopen finds the stream as it was either before or after the append —
+// never torn — and still accepting appends.
 func TestChaosStreamSnapshotFaults(t *testing.T) {
 	series := streamSeries(80)
 	fit := core.FitOptions{DisableGrowth: true, Workers: 1, MaxShocks: 3}
-	for k := 1; k <= 6; k++ {
-		t.Run(fmt.Sprintf("op%d", k), func(t *testing.T) {
-			dir := t.TempDir()
-			in := faultfs.NewInjector(nil)
-			r, err := Open(Options{DataDir: dir, FS: in, StreamFit: fit})
-			if err != nil {
-				t.Fatal(err)
+	plain, compacting := AppendOptions{}, AppendOptions{Retention: 1000}
+	plainOps := countStreamAppendOps(t, fit, plain)
+	ops := plainOps + countStreamAppendOps(t, fit, compacting)
+	if plainOps < 2 || ops < plainOps+6 {
+		t.Fatalf("appends performed only %d and %d fs ops; sweep would be vacuous", plainOps, ops-plainOps)
+	}
+	for p := 1; p <= ops; p++ {
+		opts, k := plain, p
+		if p > plainOps {
+			opts, k = compacting, p-plainOps
+		}
+		for _, short := range []bool{false, true} {
+			name := fmt.Sprintf("op%d", p)
+			if short {
+				name += "_short"
 			}
-			if _, err := r.AppendStream(context.Background(), "s", series[:60], AppendOptions{RefitEvery: 30}); err != nil {
-				t.Fatal(err)
-			}
-			in.FailNth(faultfs.OpAny, k, nil)
-			st, appendErr := r.AppendStream(context.Background(), "s", series[60:], AppendOptions{})
-			if appendErr != nil && !errors.Is(appendErr, faultfs.ErrInjected) {
-				t.Fatalf("append error is not the injected fault: %v", appendErr)
-			}
-			if appendErr != nil && st.Len != 80 {
-				t.Fatalf("persistence fault lost in-memory ticks: %+v", st)
-			}
-
-			r2, _ := reopenClean(t, dir)
-			got, err := r2.StreamStatusFor("s")
-			if err != nil {
-				if !errors.Is(err, ErrNotFound) {
+			t.Run(name, func(t *testing.T) {
+				dir := t.TempDir()
+				in := faultfs.NewInjector(nil)
+				r, err := Open(Options{DataDir: dir, FS: in, StreamFit: fit})
+				if err != nil {
 					t.Fatal(err)
 				}
-				return // no snapshot survived; acceptable, never torn
-			}
-			if got.Len != 60 && got.Len != 80 {
-				t.Fatalf("reopened stream len = %d, want 60 (old) or 80 (new)", got.Len)
-			}
-			// Whatever snapshot survived must keep accepting appends.
-			if _, err := r2.AppendStream(context.Background(), "s", []float64{1, 2}, AppendOptions{}); err != nil {
-				t.Fatalf("surviving snapshot rejects appends: %v", err)
-			}
-		})
+				if _, err := r.AppendStream(context.Background(), "s", series[:60], AppendOptions{RefitEvery: 30}); err != nil {
+					t.Fatal(err)
+				}
+				if short {
+					in.ShortWriteNth(k) // only faults if the kth write exists
+				} else {
+					in.FailNth(faultfs.OpAny, k, nil)
+				}
+				st, appendErr := r.AppendStream(context.Background(), "s", series[60:], opts)
+				if appendErr != nil && !errors.Is(appendErr, faultfs.ErrInjected) {
+					t.Fatalf("append error is not the injected fault: %v", appendErr)
+				}
+				if appendErr != nil && st.Len != 80 {
+					t.Fatalf("persistence fault lost in-memory ticks: %+v", st)
+				}
+
+				r2, _ := reopenClean(t, dir)
+				got, err := r2.StreamStatusFor("s")
+				if err != nil {
+					t.Fatalf("stream lost after a faulted append: %v", err)
+				}
+				if got.Len != 60 && got.Len != 80 {
+					t.Fatalf("reopened stream len = %d, want 60 (old) or 80 (new)", got.Len)
+				}
+				if appendErr == nil && got.Len != 80 {
+					t.Fatalf("acknowledged append lost: reopened len %d", got.Len)
+				}
+				// Whatever state survived must keep accepting appends.
+				if _, err := r2.AppendStream(context.Background(), "s", []float64{1, 2}, AppendOptions{}); err != nil {
+					t.Fatalf("surviving stream rejects appends: %v", err)
+				}
+			})
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package registry
 
 import (
+	"bytes"
 	"math"
 	"path/filepath"
 	"testing"
@@ -62,10 +63,15 @@ func FuzzRestoreState(f *testing.F) {
 		`"t_eta":-1},"scale":1}}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(`{}`))
+	f.Add([]byte(`{"refit_every":30,"seq":[1,2],"log":"s@1.log"}`))
+	f.Add([]byte(`{"refit_every":30,"seq":[1,2],"log":"../s@1.log"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		state, refits, err := decodeStreamState(data)
+		state, refits, log, err := decodeStreamState(data)
 		if err != nil {
 			return
+		}
+		if _, ok := segmentOf(log); log != "" && !ok {
+			t.Fatalf("decoder admitted segment name %q", log)
 		}
 		if refits < 0 {
 			refits = 0 // refit counter is cosmetic; the stream must still work
@@ -84,5 +90,39 @@ func FuzzRestoreState(f *testing.F) {
 		_ = s.Model()
 		_ = s.Forecast(3)
 		_ = s.State()
+	})
+}
+
+// FuzzDecodeTickLog hammers the tick-log trust boundary: whatever bytes a
+// segment holds, decoding hands on records or stops — never a panic — and
+// lets no negative position and no Inf or negative value past numcheck.
+// The records it accepts re-encode to exactly the bytes they came from.
+func FuzzDecodeTickLog(f *testing.F) {
+	valid := appendTickRecord(appendTickRecord(nil, 0, []float64{1, 2}), 2, []float64{tensor.Missing})
+	f.Add(valid)
+	f.Add(valid[:len(valid)-3])                             // torn tail
+	f.Add(append(bytes.Clone(valid), make([]byte, 40)...))  // zero fill
+	f.Add(append(bytes.Clone(valid[:10]), valid[28:]...))   // bytes lost mid-segment
+	f.Add(appendTickRecord(nil, -1, []float64{1}))          // negative position
+	f.Add(appendTickRecord(nil, 0, []float64{math.Inf(1)})) // Inf
+	f.Add(appendTickRecord(nil, 0, []float64{-3}))          // negative count
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var again []byte
+		decodeTickLog(data, func(at int64, values []float64) bool {
+			if at < 0 {
+				t.Fatalf("decoder admitted position %d", at)
+			}
+			for i, v := range values {
+				if math.IsInf(v, 0) || v < 0 {
+					t.Fatalf("decoder admitted value[%d] = %v", i, v)
+				}
+			}
+			again = appendTickRecord(again, at, values)
+			return true
+		})
+		if !bytes.HasPrefix(data, again) {
+			t.Fatal("accepted records do not re-encode to the bytes they were read from")
+		}
 	})
 }

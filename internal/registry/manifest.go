@@ -22,8 +22,8 @@ const manifestVersion = 1
 // entry is ignored, an entry whose file is missing or fails its checksum is
 // quarantined and dropped, and the manifest is rewritten to match what
 // actually survived. Stream snapshots are deliberately not indexed here:
-// each stream file is self-describing and the streams/ directory is scanned
-// instead.
+// each stream file is self-describing (it names its own tick-log segment)
+// and the streams/ directory is scanned instead.
 type manifest struct {
 	Version int             `json:"version"`
 	Models  []manifestEntry `json:"models"`

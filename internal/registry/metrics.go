@@ -11,11 +11,11 @@ import (
 // evictions and persistence failures. All methods are nil-safe so the
 // registry can run unmetered.
 type Metrics struct {
-	models        *obs.Gauge   // registry_models
-	loaded        *obs.Gauge   // registry_models_loaded
-	streams       *obs.Gauge   // registry_streams
-	evictions     *obs.Counter // registry_evictions_total
-	refits        *obs.Counter // registry_stream_refits_total
+	models        *obs.Gauge        // registry_models
+	loaded        *obs.Gauge        // registry_models_loaded
+	streams       *obs.Gauge        // registry_streams
+	evictions     *obs.Counter      // registry_evictions_total
+	refits        *obs.Counter      // registry_stream_refits_total
 	persistErrors *obs.Counter      // registry_persist_errors_total
 	corrupt       *obs.Counter      // registry_corrupt_total
 	appendSec     *obs.HistogramVec // stream_append_seconds{path}
@@ -24,6 +24,7 @@ type Metrics struct {
 	rejectedTicks  *obs.CounterVec // stream_rejected_ticks_total{reason}
 	gapFilledTicks *obs.Counter    // stream_gap_filled_ticks_total
 	refitsDeferred *obs.Counter    // stream_refits_deferred_total
+	compactions    *obs.CounterVec // stream_compactions_total{reason}
 }
 
 // NewMetricsOn registers the registry metrics on reg.
@@ -44,9 +45,12 @@ func NewMetricsOn(reg *obs.Registry) *Metrics {
 		corrupt: reg.Counter("registry_corrupt_total",
 			"Persisted files found missing or corrupt (checksum mismatch, bad JSON) and quarantined."),
 		appendSec: reg.HistogramVec("stream_append_seconds",
-			"Stream append latency in seconds, including the persistence "+
-				"write, split by maintenance path: \"incremental\" for "+
-				"O(tail) appends, \"full\" when a batch refit ran.",
+			"Stream append latency in seconds, split by maintenance path: "+
+				"\"incremental\" for O(tail) appends, \"full\" when a batch "+
+				"refit ran (forced refits included). With a data dir it "+
+				"includes making the append durable: one fsynced tick-log "+
+				"record, or a full snapshot on the rare compacting append "+
+				"(stream_compactions_total).",
 			obs.DefBuckets(), "path"),
 		evictedTicks: reg.Counter("stream_evicted_ticks_total",
 			"Ticks evicted off stream fronts by the retention horizon."),
@@ -58,6 +62,13 @@ func NewMetricsOn(reg *obs.Registry) *Metrics {
 			"Missing ticks synthesised to bridge forward gaps in positioned appends."),
 		refitsDeferred: reg.Counter("stream_refits_deferred_total",
 			"Due stream refits deferred by the concurrency gate."),
+		compactions: reg.CounterVec("stream_compactions_total",
+			"Stream snapshots written in place of a tick-log record, by "+
+				"reason: \"create\", \"options\" (refit_every, mode or "+
+				"retention changed), \"refit\" (a refit ran, failed or was "+
+				"deferred), \"size\" (the log reached its snapshot's size), "+
+				"\"boot\" (first change after a restart), \"write_error\" "+
+				"(a failed write closed the log).", "reason"),
 	}
 }
 
@@ -137,4 +148,11 @@ func (m *Metrics) streamRefitDeferred() {
 		return
 	}
 	m.refitsDeferred.Inc()
+}
+
+func (m *Metrics) streamCompaction(reason string) {
+	if m == nil {
+		return
+	}
+	m.compactions.With(reason).Inc()
 }

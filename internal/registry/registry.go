@@ -13,7 +13,9 @@
 // manifest indexing all models), so a restarted server reopens the
 // directory and serves the same models; evicted models reload from disk on
 // demand. Streams wrap core.Stream: clients append ticks and the registry
-// refits incrementally, snapshotting the stream state after every append.
+// refits incrementally, logging each append as one fsynced record in the
+// stream's tick log and compacting the log into a full snapshot now and
+// then (ticklog.go).
 //
 // Concurrency contract: engine.Model values returned by Get are shared and
 // must be treated as read-only (every Model method used for serving is).
@@ -66,7 +68,8 @@ type Options struct {
 	// Metrics, when non-nil, exports registry gauges and counters.
 	Metrics *Metrics
 	// Tracer, when non-nil, records a span per stream append (covering the
-	// append, any triggered refit, and the persistence write) under the
+	// append, any triggered refit, and the persistence write, with a
+	// compacted attribute on appends that wrote a snapshot) under the
 	// caller's span.
 	Tracer *trace.Tracer
 	// StreamFit are the fitting options applied to stream (re)fits.
@@ -337,16 +340,23 @@ func (r *Registry) sweepOrphans() {
 		r.logger().Warn("registry: sweeping models dir", "err", err)
 		return
 	}
-	for _, de := range des {
+	r.sweepFiles(dir, des, func(name string) bool {
+		return !referenced[name] && !strings.HasSuffix(name, ".corrupt")
+	})
+}
+
+// sweepFiles removes the files among entries of dir that orphan selects.
+func (r *Registry) sweepFiles(dir string, entries []fs.DirEntry, orphan func(name string) bool) {
+	for _, de := range entries {
 		name := de.Name()
-		if de.IsDir() || referenced[name] || strings.HasSuffix(name, ".corrupt") {
+		if de.IsDir() || !orphan(name) {
 			continue
 		}
 		if err := r.fs.Remove(filepath.Join(dir, name)); err != nil {
-			r.logger().Warn("registry: removing orphan model file", "file", name, "err", err)
+			r.logger().Warn("registry: removing orphan file", "dir", dir, "file", name, "err", err)
 			continue
 		}
-		r.logger().Info("registry: removed orphan model file", "file", name)
+		r.logger().Info("registry: removed orphan file", "dir", dir, "file", name)
 	}
 }
 

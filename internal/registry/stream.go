@@ -20,7 +20,7 @@ import (
 )
 
 // stream is one named incremental series. Its mutex serialises appends and
-// snapshots per stream; fits run under it but never under the registry
+// persistence per stream; fits run under it but never under the registry
 // lock, so long refits on one stream do not stall the rest of the server.
 type stream struct {
 	id string
@@ -28,6 +28,17 @@ type stream struct {
 	mu     sync.Mutex
 	s      *core.Stream
 	refits int
+	dead   bool // deleted: appends and refits answer ErrNotFound
+
+	// Persistence with a data dir (ticklog.go): the open tick-log segment
+	// (nil until the first compaction and after a failed write), why the
+	// next persisted change must compact ("" = it may log a record),
+	// segment files to remove after the next compaction, and the reused
+	// record buffer.
+	seg     *segment
+	owed    string
+	retired []string
+	buf     []byte
 }
 
 // StreamStatus is the client-visible state of a stream, including the
@@ -103,6 +114,11 @@ type streamJSON struct {
 	Dropped   int64 `json:"dropped_ticks,omitempty"`
 	GapFilled int64 `json:"gap_ticks,omitempty"`
 	Deferred  int64 `json:"deferred_refits,omitempty"`
+
+	// Log names the stream's live tick-log segment in the same directory;
+	// its records replay on top of this snapshot. Empty in snapshots
+	// written before the tick log existed, which load as they are.
+	Log string `json:"log,omitempty"`
 }
 
 func (r *Registry) streamPath(id string) string {
@@ -117,11 +133,13 @@ func (r *Registry) streamPath(id string) string {
 // triggers — runs outside the registry lock and under ctx (nil = never
 // cancelled): a cancelled or timed-out refit stops cooperatively, keeps the
 // stream's last good fit, and is retried per the stream's backoff schedule.
-// With a data dir the post-append state is snapshotted atomically so a
-// restart resumes the stream mid-series.
+// With a data dir the append is durable before it returns: one fsynced
+// tick-log record, or a fresh snapshot when the append compacts (see
+// ticklog.go) — so a restart resumes the stream mid-series. Such a
+// registry refuses Inf and negative values, which no snapshot may hold.
 func (r *Registry) AppendStream(ctx context.Context, id string, values []float64, opts AppendOptions) (status StreamStatus, err error) {
 	start := time.Now()
-	refitted := false
+	refitted, compacted := false, false
 	ctx, span := r.opts.Tracer.Start(ctx, "stream.append",
 		trace.String("stream_id", id), trace.Int("ticks", len(values)))
 	defer func() {
@@ -131,6 +149,7 @@ func (r *Registry) AppendStream(ctx context.Context, id string, values []float64
 		}
 		r.opts.Metrics.streamAppend(path, time.Since(start))
 		span.SetAttr("refitted", refitted)
+		span.SetAttr("compacted", compacted)
 		if err != nil {
 			span.SetAttr("err", err.Error())
 		}
@@ -146,9 +165,18 @@ func (r *Registry) AppendStream(ctx context.Context, id string, values []float64
 	if !ok {
 		return StreamStatus{}, fmt.Errorf("%w: unknown stream mode %q", ErrBadRequest, opts.Mode)
 	}
+	if r.dir != "" {
+		if err := numcheck.Sequence("append", values); err != nil {
+			return StreamStatus{}, fmt.Errorf("%w: stream %q: %v", ErrBadRequest, id, err)
+		}
+	}
 	st := r.getOrCreateStream(id, opts)
 	st.mu.Lock()
 	defer st.mu.Unlock()
+	if st.dead {
+		return StreamStatus{}, fmt.Errorf("%w: stream %q", ErrNotFound, id)
+	}
+	refitEvery, oldMode, retention := st.s.RefitEvery(), st.s.Mode(), st.s.Retention()
 	if opts.RefitEvery > 0 {
 		st.s.SetRefitEvery(opts.RefitEvery)
 	}
@@ -158,19 +186,42 @@ func (r *Registry) AppendStream(ctx context.Context, id string, values []float64
 	if opts.Retention > 0 {
 		st.s.SetRetention(opts.Retention)
 	}
-	at := int64(-1)
+	if st.s.RefitEvery() != refitEvery || st.s.Mode() != oldMode || st.s.Retention() != retention {
+		st.owe(compactOptions) // a record does not carry options
+	}
+	// The record carries a position even for a head append, so every
+	// record replays as a positioned append at the same place.
+	at, logAt := int64(-1), st.s.Head()
 	if opts.AtSet {
 		at = opts.At
+		if at >= 0 {
+			logAt = at
+		}
 	}
 	rec, err := st.s.AppendAtCtx(ctx, at, values...)
-	if err != nil {
-		if errors.Is(err, core.ErrGapTooLarge) {
-			r.opts.Metrics.streamRejected("gap_too_large", len(values))
-			return StreamStatus{}, fmt.Errorf("%w: stream %q: %v", ErrBadRequest, id, err)
-		}
-		return StreamStatus{}, fmt.Errorf("registry: stream %q: %w", id, err)
+	if errors.Is(err, core.ErrGapTooLarge) {
+		r.opts.Metrics.streamRejected("gap_too_large", len(values))
+		return StreamStatus{}, fmt.Errorf("%w: stream %q: %v", ErrBadRequest, id, err)
 	}
 	refitted = rec.Refitted
+	if refitted {
+		st.refits++
+	}
+	// Whether a refit was admitted, and how it ended, cannot be replayed.
+	if err != nil || rec.Refitted || rec.Deferred {
+		st.owe(compactRefit)
+	}
+	var perr error
+	if r.dir != "" {
+		// The ticks are kept even when the refit failed, so they are
+		// persisted before that error returns.
+		if compacted, perr = r.persist(st, logAt, values); perr != nil {
+			r.logger().Error("registry: persisting stream", "id", id, "err", perr)
+		}
+	}
+	if err != nil {
+		return StreamStatus{}, fmt.Errorf("registry: stream %q: %w", id, err)
+	}
 	r.opts.Metrics.streamRejected("duplicate", rec.DroppedTicks)
 	r.opts.Metrics.streamGapFilled(rec.GapTicks)
 	r.opts.Metrics.streamEvicted(rec.EvictedTicks)
@@ -178,23 +229,20 @@ func (r *Registry) AppendStream(ctx context.Context, id string, values []float64
 		r.opts.Metrics.streamRefitDeferred()
 	}
 	if refitted {
-		st.refits++
 		r.opts.Metrics.streamRefit()
 	}
 	status = st.statusLocked()
 	status.Refitted = refitted
-	if r.dir != "" {
-		if perr := r.saveStream(st); perr != nil {
-			r.opts.Metrics.persistError()
-			r.logger().Error("registry: persisting stream", "id", id, "err", perr)
-			return status, fmt.Errorf("registry: persisting stream %q: %w", id, perr)
-		}
+	if perr != nil {
+		return status, fmt.Errorf("registry: persisting stream %q: %w", id, perr)
 	}
 	return status, nil
 }
 
 // RefitStream forces a full consolidating refit of the named stream now,
-// regardless of cadence, pending debt or retry backoff.
+// regardless of cadence, pending debt or retry backoff. With a data dir the
+// outcome is compacted into a fresh snapshot, failed refits included: the
+// retry backoff they set is state too.
 func (r *Registry) RefitStream(ctx context.Context, id string) (StreamStatus, error) {
 	st, err := r.lookupStream(id)
 	if err != nil {
@@ -205,20 +253,28 @@ func (r *Registry) RefitStream(ctx context.Context, id string) (StreamStatus, er
 	defer span.End()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.s.RefitNow(ctx); err != nil {
+	if st.dead {
+		return StreamStatus{}, fmt.Errorf("%w: stream %q", ErrNotFound, id)
+	}
+	err = st.s.RefitNow(ctx)
+	if err == nil {
+		st.refits++
+	}
+	var perr error
+	if r.dir != "" {
+		st.owe(compactRefit)
+		_, perr = r.persist(st, 0, nil)
+	}
+	if err != nil {
 		span.SetAttr("err", err.Error())
 		return StreamStatus{}, fmt.Errorf("registry: stream %q: %w", id, err)
 	}
-	st.refits++
 	r.opts.Metrics.streamRefit()
 	r.opts.Metrics.streamAppend("full", time.Since(start))
 	status := st.statusLocked()
 	status.Refitted = true
-	if r.dir != "" {
-		if perr := r.saveStream(st); perr != nil {
-			r.opts.Metrics.persistError()
-			return status, fmt.Errorf("registry: persisting stream %q: %w", id, perr)
-		}
+	if perr != nil {
+		return status, fmt.Errorf("registry: persisting stream %q: %w", id, perr)
 	}
 	return status, nil
 }
@@ -254,7 +310,7 @@ func (r *Registry) getOrCreateStream(id string, opts AppendOptions) *stream {
 		s = core.NewStream(r.opts.StreamFit, refitEvery)
 	}
 	r.configureStream(id, s)
-	st := &stream{id: id, s: s}
+	st := &stream{id: id, s: s, owed: compactCreate}
 	r.streams[id] = st
 	r.opts.Metrics.setStreams(len(r.streams))
 	return st
@@ -301,24 +357,39 @@ func (r *Registry) StreamForecast(id string, h int) ([]float64, error) {
 	return st.s.Forecast(h), nil
 }
 
-// DeleteStream removes a stream from memory and disk.
+// DeleteStream removes a stream from memory and disk. It waits for an
+// append or refit in flight on the stream, whose handle then answers
+// ErrNotFound, so nothing persists the stream again after its files are
+// gone.
 func (r *Registry) DeleteStream(id string) error {
-	r.streamMu.Lock()
-	_, ok := r.streams[id]
-	if ok {
-		delete(r.streams, id)
-		r.opts.Metrics.setStreams(len(r.streams))
+	st, err := r.lookupStream(id)
+	if err != nil {
+		return err
 	}
-	r.streamMu.Unlock()
-	if !ok {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.dead {
 		return fmt.Errorf("%w: stream %q", ErrNotFound, id)
 	}
+	st.dead = true
+	var rerr error
 	if r.dir != "" {
+		// The snapshot goes before its segments: a crash in between strands
+		// only segments, which the boot sweeps.
+		r.closeSegment(st)
 		if err := r.fs.Remove(r.streamPath(id)); err != nil && !errors.Is(err, fs.ErrNotExist) {
-			return fmt.Errorf("registry: removing stream %q: %w", id, err)
+			rerr = fmt.Errorf("registry: removing stream %q: %w", id, err)
+		} else {
+			r.removeRetired(st)
 		}
 	}
-	return nil
+	// Only now may an append create a new stream under this id: its files
+	// must not race the removal above.
+	r.streamMu.Lock()
+	delete(r.streams, id)
+	r.opts.Metrics.setStreams(len(r.streams))
+	r.streamMu.Unlock()
+	return rerr
 }
 
 // ListStreams returns the status of every stream, sorted by id.
@@ -349,8 +420,9 @@ func (r *Registry) lookupStream(id string) (*stream, error) {
 	return st, nil
 }
 
-// saveStream snapshots one stream atomically (st.mu held by the caller).
-func (r *Registry) saveStream(st *stream) error {
+// encodeStreamSnapshot renders st's whole state as snapshot JSON naming
+// the segment log (st.mu held by the caller). Only compact calls it.
+func encodeStreamSnapshot(st *stream, log string) ([]byte, error) {
 	state := st.s.State()
 	sj := streamJSON{
 		RefitEvery: state.RefitEvery,
@@ -370,6 +442,7 @@ func (r *Registry) saveStream(st *stream) error {
 		Dropped:    state.Dropped,
 		GapFilled:  state.GapFilled,
 		Deferred:   state.Deferred,
+		Log:        log,
 	}
 	if state.Mode != core.RefitBatch {
 		sj.Mode = state.Mode.String()
@@ -385,26 +458,27 @@ func (r *Registry) saveStream(st *stream) error {
 		res := state.Result
 		sj.Result = &res
 	}
-	data, err := json.Marshal(sj)
-	if err != nil {
-		return err
-	}
-	return writeFileAtomic(r.fs, r.streamPath(st.id), data)
+	return json.Marshal(sj)
 }
 
-// decodeStreamState parses and validates one persisted snapshot. It is the
-// trust boundary for stream files (fuzzed by FuzzRestoreState): the decoded
-// sequence must contain no Inf or negative counts (NaN is the missing
-// sentinel and fine), and a fitted snapshot must materialise a model that
+// decodeStreamState parses and validates one persisted snapshot, returning
+// the state, the refit count and the name of the segment to replay on top
+// ("" for none). It is the trust boundary for stream files (fuzzed by
+// FuzzRestoreState): the decoded sequence must contain no Inf or negative
+// counts (NaN is the missing sentinel and fine), the segment must be a
+// segment file name, and a fitted snapshot must materialise a model that
 // passes the same validation Put applies.
-func decodeStreamState(data []byte) (core.StreamState, int, error) {
+func decodeStreamState(data []byte) (core.StreamState, int, string, error) {
 	var sj streamJSON
 	if err := json.Unmarshal(data, &sj); err != nil {
-		return core.StreamState{}, 0, err
+		return core.StreamState{}, 0, "", err
 	}
 	mode, ok := core.ParseRefitMode(sj.Mode)
 	if !ok {
-		return core.StreamState{}, 0, fmt.Errorf("unknown stream mode %q", sj.Mode)
+		return core.StreamState{}, 0, "", fmt.Errorf("unknown stream mode %q", sj.Mode)
+	}
+	if _, ok := segmentOf(sj.Log); sj.Log != "" && !ok {
+		return core.StreamState{}, 0, "", fmt.Errorf("bad segment name %q", sj.Log)
 	}
 	state := core.StreamState{
 		RefitEvery: sj.RefitEvery,
@@ -432,28 +506,30 @@ func decodeStreamState(data []byte) (core.StreamState, int, error) {
 		state.Future = nil
 	}
 	if err := numcheck.Sequence("stream snapshot", state.Seq); err != nil {
-		return core.StreamState{}, 0, err
+		return core.StreamState{}, 0, "", err
 	}
 	if sj.Result != nil {
 		state.Result = *sj.Result
 	}
 	if state.Fitted {
 		if err := validateStreamState(&state); err != nil {
-			return core.StreamState{}, 0, err
+			return core.StreamState{}, 0, "", err
 		}
 	}
-	return state, sj.Refits, nil
+	return state, sj.Refits, sj.Log, nil
 }
 
-// loadStreams restores every snapshot under streams/. A corrupt or invalid
-// snapshot is quarantined as <file>.corrupt and skipped — one bad stream
-// must not block the boot, but leaving the bad file in place would re-fail
-// (and previously silently re-skip) on every restart.
+// loadStreams restores every snapshot under streams/ and replays the
+// segment each names. A corrupt or invalid snapshot is quarantined as
+// <file>.corrupt and skipped — one bad stream must not block the boot, but
+// leaving the bad file in place would re-fail (and previously silently
+// re-skip) on every restart. Segments no snapshot names are swept.
 func (r *Registry) loadStreams() error {
 	entries, err := r.fs.ReadDir(filepath.Join(r.dir, streamsDir))
 	if err != nil {
 		return fmt.Errorf("registry: scanning streams: %w", err)
 	}
+	live := make(map[string]bool)
 	for _, de := range entries {
 		name := de.Name()
 		if de.IsDir() || !strings.HasSuffix(name, ".json") {
@@ -469,15 +545,32 @@ func (r *Registry) loadStreams() error {
 		if err != nil {
 			return fmt.Errorf("registry: reading stream %q: %w", id, err)
 		}
-		state, refits, err := decodeStreamState(data)
+		state, refits, log, err := decodeStreamState(data)
+		if segID, _ := segmentOf(log); err == nil && log != "" && segID != id {
+			err = fmt.Errorf("segment %q belongs to stream %q", log, segID)
+		}
 		if err != nil {
 			r.quarantine(path, "stream", id, err)
 			continue
 		}
 		s := core.RestoreStream(r.opts.StreamFit, state)
 		r.configureStream(id, s)
-		r.streams[id] = &stream{id: id, s: s, refits: refits}
+		st := &stream{id: id, s: s, refits: refits, owed: compactBoot}
+		if log != "" {
+			live[log] = true
+			if err := r.replaySegment(st, log); err != nil {
+				return err
+			}
+		}
+		r.streams[id] = st
 	}
+	// Segments no snapshot names are the new segment of a compaction whose
+	// snapshot never committed, or an old one a crash stranded before its
+	// removal. Quarantined *.corrupt files stay.
+	r.sweepFiles(filepath.Join(r.dir, streamsDir), entries, func(name string) bool {
+		_, ok := segmentOf(name)
+		return ok && !live[name]
+	})
 	r.opts.Metrics.setStreams(len(r.streams))
 	return nil
 }

@@ -118,11 +118,11 @@ func TestIncrementalStreamPersistRestore(t *testing.T) {
 // decode to a plain batch stream with no pending debt.
 func TestLegacyStreamSnapshotDecodes(t *testing.T) {
 	legacy := []byte(`{"refit_every":30,"seq":[1,2,null,3],"fitted":false,"since_refit":4,"refits":0}`)
-	state, refits, err := decodeStreamState(legacy)
+	state, refits, log, err := decodeStreamState(legacy)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if refits != 0 || state.RefitEvery != 30 || len(state.Seq) != 4 {
+	if refits != 0 || log != "" || state.RefitEvery != 30 || len(state.Seq) != 4 {
 		t.Fatalf("legacy decode: refits=%d state=%+v", refits, state)
 	}
 	if state.Mode != core.RefitBatch || state.Debt != 0 || state.Future != nil {

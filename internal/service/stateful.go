@@ -414,11 +414,8 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	status, err := s.Registry.AppendStream(r.Context(), id, values, opts)
 	if err != nil {
-		if errors.Is(err, registry.ErrBadID) || errors.Is(err, registry.ErrBadRequest) {
-			httpError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		httpError(w, http.StatusInternalServerError, "%v", err)
+		// ErrNotFound: the stream was deleted while this append waited.
+		registryError(w, err)
 		return
 	}
 	// Only successful appends feed the lag estimate: a 400 is cheap and
