@@ -509,6 +509,21 @@ func BenchmarkStreamAppend(b *testing.B) {
 	b.ReportMetric(lat[len(lat)*99/100]*1e3, "p99-ms")
 }
 
+// BenchmarkStreamForecast measures one 13-tick forecast read on the same
+// 10k-tick incremental stream: it steps the recurrence on from the
+// checkpointed head state, so its cost follows the horizon, not the
+// retained window (TestStreamForecastCostFlat gates the allocations).
+func BenchmarkStreamForecast(b *testing.B) {
+	s, _ := streamBenchStream(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if f := s.Forecast(13); len(f) != 13 {
+			b.Fatalf("forecast has %d ticks", len(f))
+		}
+	}
+}
+
 // BenchmarkStreamAppendBatch is the pre-incremental baseline: the same
 // single-tick appends on a batch-mode stream, which pays a full
 // warm-started refit every RefitEvery appends. Kept at a much smaller n so

@@ -121,7 +121,7 @@ type incState struct {
 	states  []sivPoint // states[t%w]: SIV state entering tick t
 	sim     []float64  // sim[t%w]: simulated normalised output at t
 	resid   []float64  // resid[t%w]: normalised observation − sim (NaN = missing)
-	future  []float64  // per shock: projected strength for not-yet-seen occurrences
+	future  []float64  // per shock: strength advance gives an occurrence the fit never saw
 	normMax float64    // max normalised observation seen
 
 	scratch []float64 // contiguous tail copies for scans
@@ -195,63 +195,107 @@ func (st *incState) advance(shocks []Shock, raw float64) {
 			}
 		}
 	}
-	eps := st.epsAt(shocks, t)
-	st.states[t%st.w] = st.cur
-	out := st.step(t, eps)
-	norm := math.NaN()
-	if !tensor.IsMissing(raw) && !math.IsInf(raw, 0) && raw >= 0 {
-		norm = raw
-		if st.scale > 0 {
-			norm = raw / st.scale
-		}
-		if norm > st.normMax {
-			st.normMax = norm
-		}
+	if norm := st.record(t, epsAt(shocks, t), raw); norm > st.normMax {
+		st.normMax = norm
 	}
-	st.sim[t%st.w] = out
-	st.resid[t%st.w] = norm - out
 	st.head++
 }
 
+// record steps tick t from cur under ε(t) = eps, files the state entering
+// it with its simulated output and residual in the rings, and returns the
+// normalised observation (NaN when unusable).
+func (st *incState) record(t int, eps, raw float64) float64 {
+	st.states[t%st.w] = st.cur
+	var out float64
+	st.cur, out = st.step(st.cur, t, eps)
+	norm := st.normObs(raw)
+	st.sim[t%st.w] = out
+	st.resid[t%st.w] = norm - out
+	return norm
+}
+
+// normObs maps a raw observation into the fit's normalised space; NaN marks
+// a tick without a usable observation (missing, ±Inf or negative).
+func (st *incState) normObs(raw float64) float64 {
+	if tensor.IsMissing(raw) || math.IsInf(raw, 0) || raw < 0 {
+		return math.NaN()
+	}
+	if st.scale > 0 {
+		return raw / st.scale
+	}
+	return raw
+}
+
 // epsAt derives ε(t) for one tick, summing shock contributions in shock
-// order — the same order epsilonFromShocks accumulates in, so the scalar is
-// bit-identical to the array entry a batch rebuild would produce.
-func (st *incState) epsAt(shocks []Shock, t int) float64 {
+// order — the order epsilonFromShocks and extendEpsilon accumulate in, so
+// the scalar is bit-identical to the array entry a batch build would
+// produce. An occurrence past its shock's strength row gets extendEpsilon's
+// projection: a cyclic shock's futureStrength when positive, nothing
+// otherwise. Only forecast ticks past the head meet such an occurrence;
+// advance materialises every occurrence it reaches before asking.
+func epsAt(shocks []Shock, t int) float64 {
 	e := 1.0
 	for si := range shocks {
 		sh := &shocks[si]
 		m := sh.OccurrenceAt(t)
-		if m < 0 || m >= len(sh.Strength) {
-			continue
+		switch {
+		case m < 0:
+		case m < len(sh.Strength):
+			e += sh.Strength[m]
+		case sh.Period > 0:
+			if f := futureStrength(sh); f > 0 {
+				e += f
+			}
 		}
-		e += sh.Strength[m]
 	}
 	return e
 }
 
-// step advances the SIV recurrence by one tick and returns the simulated
-// output. It is a statement-for-statement mirror of SimulateInto's clean-ε
-// fast path (growth split included), which keeps the incremental simulation
-// bit-identical to the batch one — TestIncrementalStepMatchesSimulate pins
-// this against the real SimulateInto.
-func (st *incState) step(t int, eps float64) float64 {
-	s, i, v := st.cur.s, st.cur.i, st.cur.v
-	out := st.p.N * i
+// step advances the SIV recurrence one tick: from x, the state entering
+// tick t, under susceptible rate eps, it returns the state entering t+1 and
+// the normalised output N·i(t). It is pure — it reads only the sanitised
+// parameters — so callers step a copy of any checkpoint (the ring, cur)
+// without saving and restoring anything. It is a statement-for-statement
+// mirror of SimulateInto's clean-ε fast path (growth split included), which
+// keeps the incremental simulation bit-identical to the batch one —
+// TestIncrementalStepMatchesSimulate pins this against the real
+// SimulateInto.
+func (st *incState) step(x sivPoint, t int, eps float64) (sivPoint, float64) {
+	out := st.p.N * x.i
 	var infect float64
 	if t >= st.gStart {
-		infect = st.p.Beta * s * eps * i * st.oneEta
+		infect = st.p.Beta * x.s * eps * x.i * st.oneEta
 	} else {
-		infect = st.p.Beta * s * eps * i
+		infect = st.p.Beta * x.s * eps * x.i
 	}
-	lose := st.p.Delta * i
-	wake := st.p.Gamma * v
-	s = clamp01(s - infect + wake)
-	i = clamp01(i + infect - lose)
-	v = clamp01(v + lose - wake)
+	lose := st.p.Delta * x.i
+	wake := st.p.Gamma * x.v
+	s := clamp01(x.s - infect + wake)
+	i := clamp01(x.i + infect - lose)
+	v := clamp01(x.v + lose - wake)
 	if tot := s + i + v; tot > 0 && tot != 1 {
 		s, i, v = s/tot, i/tot, v/tot
 	}
-	st.cur = sivPoint{s: s, i: i, v: v}
+	return sivPoint{s: s, i: i, v: v}, out
+}
+
+// forecast steps the recurrence h ticks past the head from a copy of cur,
+// with ε(t) projected by epsAt, and returns n·i(t) for each of those ticks:
+// O(h·#shocks) steps, one allocation, and no writes to the state or the
+// shocks. n is the fit's raw population scale, sanitised as SimulateInto
+// sanitises it, so the result is the tail of the batch simulation
+// ForecastGlobal runs over the whole window.
+func (st *incState) forecast(shocks []Shock, n float64, h int) []float64 {
+	if math.IsNaN(n) || math.IsInf(n, 0) || n < 0 {
+		n = 0
+	}
+	out := make([]float64, h)
+	x := st.cur
+	for k := range out {
+		t := st.head + k
+		out[k] = n * x.i
+		x, _ = st.step(x, t, epsAt(shocks, t))
+	}
 	return out
 }
 
@@ -261,19 +305,7 @@ func (st *incState) step(t int, eps float64) float64 {
 func (st *incState) rebuildFrom(seq []float64, shocks []Shock, t0 int) {
 	st.cur = st.states[t0%st.w]
 	for t := t0; t < len(seq); t++ {
-		eps := st.epsAt(shocks, t)
-		st.states[t%st.w] = st.cur
-		out := st.step(t, eps)
-		norm := math.NaN()
-		raw := seq[t]
-		if !tensor.IsMissing(raw) && !math.IsInf(raw, 0) && raw >= 0 {
-			norm = raw
-			if st.scale > 0 {
-				norm = raw / st.scale
-			}
-		}
-		st.sim[t%st.w] = out
-		st.resid[t%st.w] = norm - out
+		st.record(t, epsAt(shocks, t), seq[t])
 	}
 	st.head = len(seq)
 }
@@ -481,32 +513,22 @@ func (s *Stream) tailSSEFrom(t0 int) float64 {
 	return s.tailSSEWith(s.result.Shocks, t0)
 }
 
-// tailSSEWith is tailSSEFrom under an alternative shock set.
+// tailSSEWith is tailSSEFrom under an alternative shock set: it steps a
+// copy of the ring checkpoint at t0, leaving the stream state untouched.
 func (s *Stream) tailSSEWith(shocks []Shock, t0 int) float64 {
 	st := s.inc
-	save := st.cur
-	st.cur = st.states[t0%st.w]
+	x := st.states[t0%st.w]
 	sse := 0.0
 	for t := t0; t < st.head; t++ {
-		eps := st.epsAt(shocks, t)
-		out := st.stepScratch(t, eps)
-		raw := s.seq[t]
-		if tensor.IsMissing(raw) || math.IsInf(raw, 0) || raw < 0 {
-			continue
+		var out float64
+		x, out = st.step(x, t, epsAt(shocks, t))
+		if norm := st.normObs(s.seq[t]); !math.IsNaN(norm) {
+			d := norm - out
+			sse += d * d
 		}
-		norm := raw
-		if st.scale > 0 {
-			norm = raw / st.scale
-		}
-		d := norm - out
-		sse += d * d
 	}
-	st.cur = save
 	return sse
 }
-
-// stepScratch is step without recording rings (the caller restores cur).
-func (st *incState) stepScratch(t int, eps float64) float64 { return st.step(t, eps) }
 
 // acceptTailShock applies the incremental MDL gate: the candidate is kept
 // only when the Gaussian coding cost of the tail residuals — judged at the
@@ -527,22 +549,12 @@ func (s *Stream) acceptTailShock(cand Shock, t0 int, tailResid []float64, muQ, s
 	// Residuals with the candidate applied: identical to the current tail
 	// before t0, re-simulated after.
 	residWith := append([]float64(nil), tailResid...)
-	save := st.cur
-	st.cur = st.states[t0%st.w]
+	x := st.states[t0%st.w]
 	for t := t0; t < n; t++ {
-		eps := st.epsAt(with, t)
-		out := st.stepScratch(t, eps)
-		raw := s.seq[t]
-		norm := math.NaN()
-		if !tensor.IsMissing(raw) && !math.IsInf(raw, 0) && raw >= 0 {
-			norm = raw
-			if st.scale > 0 {
-				norm = raw / st.scale
-			}
-		}
-		residWith[t-lo] = norm - out
+		var out float64
+		x, out = st.step(x, t, epsAt(with, t))
+		residWith[t-lo] = st.normObs(s.seq[t]) - out
 	}
-	st.cur = save
 	costWith := mdl.GaussianCostFixed(residWith, muQ, sigma2Q) + costShockTensor(with, 1, 1, n)
 	return costWith < costWithout-1e-9
 }

@@ -505,7 +505,7 @@ func (s *Stream) appendIncremental(values []float64) {
 		s.appendTick(v)
 		st.advance(s.result.Shocks, v)
 		s.debt++
-		if !tensor.IsMissing(v) && !math.IsInf(v, 0) && v >= 0 && st.scale > 0 && v/st.scale > 1 {
+		if st.scale > 0 && st.normObs(v) > 1 {
 			// Observation beyond the fitted normalisation scale: the [0,1]
 			// normalisation no longer covers the data, pull the refit closer.
 			s.debt += debtStaleScale
@@ -746,8 +746,27 @@ func RestoreStream(opts FitOptions, st StreamState) *Stream {
 	return s
 }
 
-// Forecast extrapolates h ticks past the stream head (nil when not Ready).
+// Forecast extrapolates h ticks past the stream head (nil when not Ready or
+// h <= 0).
+//
+// An incremental stream already holds the SIV state entering its head
+// tick, so it steps the recurrence h ticks on from a copy of that
+// checkpoint: O(h·#shocks) work with one allocation, re-simulating none of
+// the retained window (a tick in a projected cyclic occurrence also
+// averages that shock's strength row). Forecast is read-only — it writes
+// nothing to the stream — so concurrent Forecast calls need no lock among
+// themselves; only Append and the other mutators need excluding. The
+// result is bit-identical to Model().ForecastGlobal(0, h), which
+// re-simulates the whole window from tick 0: that stays the path of
+// batch-mode streams and is the oracle TestStreamForecastMatchesModel
+// holds this one to.
 func (s *Stream) Forecast(h int) []float64 {
+	if s.inc != nil {
+		if h <= 0 {
+			return nil
+		}
+		return s.inc.forecast(s.result.Shocks, s.result.Params.N, h)
+	}
 	m := s.Model()
 	if m == nil {
 		return nil

@@ -214,7 +214,7 @@ type Engine struct {
 
 	mu       sync.Mutex
 	jobs     map[string]*job
-	terminal []string // terminal job ids, oldest first, for history eviction
+	terminal []string  // terminal job ids, oldest first, for history eviction
 	satSince time.Time // when the queue last became full; zero = not full
 	closed   bool
 }
@@ -513,10 +513,13 @@ func (e *Engine) run(j *job) {
 	j.state = StateRunning
 	j.started = time.Now()
 	e.mu.Unlock()
-	j.waitSpan.End()
-	e.opts.Metrics.queueWaited(j.started.Sub(j.created))
+	// The run span opens before the wait span ends, so the trace always
+	// has a span open and the flight recorder keeps it however many
+	// traces land while the job runs.
 	runSpan := e.opts.Tracer.StartChild(j.parent, "job.run",
 		trace.String("job_id", j.id), trace.String("kind", j.kind))
+	j.waitSpan.End()
+	e.opts.Metrics.queueWaited(j.started.Sub(j.created))
 	e.opts.Metrics.workerBusy(+1)
 	defer e.opts.Metrics.workerBusy(-1)
 	e.logger().Info("job running", j.logArgs("id", j.id, "kind", j.kind)...)

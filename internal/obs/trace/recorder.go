@@ -19,15 +19,22 @@ import (
 //     want to debug is still there after ten thousand fast ones landed.
 //
 // Spans within one trace are additionally bounded by MaxSpansPerTrace
-// (excess spans are counted, not stored). All methods are safe for
-// concurrent use.
+// (excess spans are counted, not stored). A trace with a span still open —
+// one begun by Tracer.Start or StartChild and not yet ended — is never
+// evicted: an async job's run and fit spans can outlive hundreds of fast
+// traces, and evicting its entry would file those late spans under a fresh
+// entry that has only them. When its last open span ends, the trace moves
+// to the newest end of its ring, so it is kept as long as any trace that
+// completed at that moment. Open traces may hold a ring above its bound
+// until their spans end. All methods are safe for concurrent use.
 type Recorder struct {
 	opts RecorderOptions
 
 	mu     sync.Mutex
 	traces map[string]*traceEntry
-	normal []*traceEntry // FIFO, oldest first
-	slow   []*traceEntry // FIFO, oldest first
+	normal []*traceEntry   // FIFO, oldest first
+	slow   []*traceEntry   // FIFO, oldest first
+	open   map[TraceID]int // spans begun and not yet ended, per trace
 }
 
 // RecorderOptions bound the recorder. Zero values select the defaults.
@@ -64,12 +71,14 @@ func NewRecorder(opts RecorderOptions) *Recorder {
 	return &Recorder{
 		opts:   opts.withDefaults(),
 		traces: make(map[string]*traceEntry),
+		open:   make(map[TraceID]int),
 	}
 }
 
 // traceEntry accumulates one trace's completed spans.
 type traceEntry struct {
 	id           string
+	tid          TraceID
 	spans        []SpanData
 	droppedSpans int
 	first        time.Time // earliest span start
@@ -100,17 +109,41 @@ func (e *traceEntry) rootName() string {
 	return name
 }
 
-// record files one completed span under its trace.
-func (r *Recorder) record(data SpanData) {
+// begin notes a span of trace tid as open, which keeps the trace from
+// eviction until the span is recorded.
+func (r *Recorder) begin(tid TraceID) {
+	r.mu.Lock()
+	r.open[tid]++
+	r.mu.Unlock()
+}
+
+// record files one completed span under its trace, and closes it when begin
+// opened it.
+func (r *Recorder) record(tid TraceID, data SpanData, opened bool) {
 	end := data.Start.Add(time.Duration(data.DurationNs))
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	closed := false
+	if opened {
+		if n := r.open[tid] - 1; n > 0 {
+			r.open[tid] = n
+		} else {
+			delete(r.open, tid)
+			closed = true
+		}
+	}
 	e, ok := r.traces[data.TraceID]
 	if !ok {
-		e = &traceEntry{id: data.TraceID, first: data.Start, last: end}
+		e = &traceEntry{id: data.TraceID, tid: tid, first: data.Start, last: end}
 		r.traces[data.TraceID] = e
 		r.normal = append(r.normal, e)
 		r.evictLocked()
+	} else if closed {
+		if e.slow {
+			moveToBack(r.slow, e)
+		} else {
+			moveToBack(r.normal, e)
+		}
 	}
 	if len(e.spans) < r.opts.MaxSpansPerTrace {
 		e.spans = append(e.spans, data)
@@ -133,13 +166,36 @@ func (r *Recorder) record(data SpanData) {
 
 // evictLocked applies both FIFO bounds.
 func (r *Recorder) evictLocked() {
-	for len(r.normal) > r.opts.MaxTraces {
-		delete(r.traces, r.normal[0].id)
-		r.normal = r.normal[1:]
+	r.normal = r.evictRing(r.normal, r.opts.MaxTraces)
+	r.slow = r.evictRing(r.slow, r.opts.MaxSlow)
+}
+
+// evictRing drops the oldest traces without open spans until ring holds at
+// most max entries, or only traces with open spans are left to drop.
+func (r *Recorder) evictRing(ring []*traceEntry, max int) []*traceEntry {
+	for i := 0; len(ring) > max && i < len(ring); {
+		if r.open[ring[i].tid] > 0 {
+			i++
+			continue
+		}
+		delete(r.traces, ring[i].id)
+		if i == 0 {
+			ring = ring[1:]
+		} else {
+			ring = append(ring[:i], ring[i+1:]...)
+		}
 	}
-	for len(r.slow) > r.opts.MaxSlow {
-		delete(r.traces, r.slow[0].id)
-		r.slow = r.slow[1:]
+	return ring
+}
+
+// moveToBack rotates e to the newest end of ring, in place.
+func moveToBack(ring []*traceEntry, e *traceEntry) {
+	for i := len(ring) - 1; i >= 0; i-- {
+		if ring[i] == e {
+			copy(ring[i:], ring[i+1:])
+			ring[len(ring)-1] = e
+			return
+		}
 	}
 }
 

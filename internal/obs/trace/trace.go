@@ -224,6 +224,8 @@ type Span struct {
 	parent SpanID
 	start  time.Time
 
+	opened bool // begun in the recorder: held open until End
+
 	mu      sync.Mutex
 	attrs   []Attr
 	events  []Event
@@ -312,7 +314,7 @@ func (s *Span) endAt(end time.Time) {
 	}
 	s.mu.Unlock()
 	if s.tracer != nil && s.tracer.rec != nil {
-		s.tracer.rec.record(data)
+		s.tracer.rec.record(s.sc.TraceID, data, s.opened)
 	}
 }
 
@@ -371,11 +373,22 @@ func (t *Tracer) Start(ctx context.Context, name string, attrs ...Attr) (context
 // StartChild begins a span under an explicit parent context — the hop
 // primitive used where a context.Context does not flow naturally (e.g. a
 // job captured at enqueue time and started later on a worker). An invalid
-// parent starts a new root trace.
+// parent starts a new root trace. Until the span ends, the recorder keeps
+// its trace from eviction.
 func (t *Tracer) StartChild(parent SpanContext, name string, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
 	}
+	s := t.newSpan(parent, name, attrs)
+	if t.rec != nil {
+		t.rec.begin(s.sc.TraceID)
+		s.opened = true
+	}
+	return s
+}
+
+// newSpan builds a running span under parent without telling the recorder.
+func (t *Tracer) newSpan(parent SpanContext, name string, attrs []Attr) *Span {
 	sc := SpanContext{Sampled: true}
 	if parent.Valid() {
 		sc.TraceID = parent.TraceID
@@ -408,7 +421,7 @@ func (t *Tracer) RecordChild(parent SpanContext, name string, d time.Duration, a
 	if d < 0 {
 		d = 0
 	}
-	s := t.StartChild(parent, name, attrs...)
+	s := t.newSpan(parent, name, attrs)
 	s.start = time.Now().Add(-d)
 	s.endAt(s.start.Add(d))
 }

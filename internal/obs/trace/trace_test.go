@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"log/slog"
 	"net/http"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -209,6 +210,57 @@ func TestRecorderSlowTraceRetention(t *testing.T) {
 	}
 	if _, ok := rec.Get(slowID); ok {
 		t.Fatal("oldest slow trace survived past MaxSlow newer slow traces")
+	}
+}
+
+// TestRecorderKeepsOpenTrace: a trace with a span still open survives any
+// number of fast traces, so its late spans join the ones it already
+// recorded instead of opening a fresh entry that has only them — the shape
+// of an async job whose run outlives hundreds of status polls. When its
+// last span ends it counts as the newest trace: it survives the next
+// MaxTraces-1 traces (the poll that sees the job done among them) and is
+// evicted like any other after that.
+func TestRecorderKeepsOpenTrace(t *testing.T) {
+	rec := NewRecorder(RecorderOptions{MaxTraces: 2, SlowThreshold: time.Hour})
+	tr := NewTracer(rec)
+	poll := func(k int) {
+		for i := 0; i < k; i++ {
+			_, s := tr.Start(context.Background(), "poll")
+			s.End()
+		}
+		if n := rec.Len(); n > 2 {
+			t.Fatalf("recorder holds %d traces, want at most MaxTraces=2", n)
+		}
+	}
+
+	_, req := tr.Start(context.Background(), "http.request")
+	wait := tr.StartChild(req.Context(), "job.wait")
+	req.End()
+	id := req.Context().TraceID.String()
+	poll(10)
+	run := tr.StartChild(req.Context(), "job.run")
+	wait.End()
+	poll(10)
+	tr.Record(ContextWithSpan(context.Background(), run), "fit.global", time.Millisecond)
+	poll(10)
+	run.End()
+	poll(1)
+
+	td, ok := rec.Get(id)
+	if !ok {
+		t.Fatal("trace evicted while a span was open, or by the first trace after it ended")
+	}
+	var names []string
+	for _, sp := range td.Spans {
+		names = append(names, sp.Name)
+	}
+	sort.Strings(names)
+	if got := strings.Join(names, ","); got != "fit.global,http.request,job.run,job.wait" {
+		t.Fatalf("trace holds spans %s, want all four", got)
+	}
+	poll(1)
+	if _, ok := rec.Get(id); ok {
+		t.Fatal("ended trace survived FIFO eviction")
 	}
 }
 

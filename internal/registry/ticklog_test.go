@@ -171,6 +171,66 @@ func TestStreamLogReplayBitIdentical(t *testing.T) {
 	}
 }
 
+// TestStreamForecastAfterReopenMatchesModel: a stream reopened from its
+// snapshot plus tick-log replay serves the same forecast as the live
+// stream, bit for bit, and both equal the batch oracle
+// Model().ForecastGlobal, which re-simulates the whole window. The run
+// crosses evictions and tail shocks accepted between refits.
+func TestStreamForecastAfterReopenMatchesModel(t *testing.T) {
+	dir := t.TempDir()
+	fit := core.FitOptions{DisableGrowth: true, Workers: 1, MaxShocks: 3}
+	r, err := Open(Options{DataDir: dir, StreamFit: fit})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	series := logSeries(1000)
+	if _, err := r.AppendStream(ctx, "s", series[:104],
+		AppendOptions{Mode: "incremental", Retention: 400, RefitEvery: 1_000_000}); err != nil {
+		t.Fatal(err)
+	}
+	var st StreamStatus
+	shocks, accepted := len(liveState(t, r, "s").Result.Shocks), 0
+	for i := 104; i < len(series); i++ {
+		if st, err = r.AppendStream(ctx, "s", series[i:i+1], AppendOptions{}); err != nil {
+			t.Fatal(err)
+		}
+		k := len(liveState(t, r, "s").Result.Shocks)
+		if k > shocks {
+			accepted++
+		}
+		shocks = k
+		if i%25 != 0 {
+			continue
+		}
+		r2, err := Open(Options{DataDir: dir, StreamFit: fit})
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := r2.streams["s"].s.Model()
+		for _, h := range []int{1, 13, 52, 150} {
+			live, err := r.StreamForecast("s", h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := r2.StreamForecast("s", h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := oracle.ForecastGlobal(0, h)
+			if p, diff := bitDiff(reflect.ValueOf(got), reflect.ValueOf(want)); diff {
+				t.Fatalf("tick %d: reopened Forecast(%d) differs from the oracle at %s", i, h, p)
+			}
+			if p, diff := bitDiff(reflect.ValueOf(got), reflect.ValueOf(live)); diff {
+				t.Fatalf("tick %d: reopened Forecast(%d) differs from the live one at %s", i, h, p)
+			}
+		}
+	}
+	if st.Evicted == 0 || st.Refits != 1 || accepted == 0 {
+		t.Fatalf("want evictions and tail shocks accepted between refits, got %d over %+v", accepted, st)
+	}
+}
+
 // TestStreamRefitErrorAppendPersisted: an append whose inline refit fails
 // keeps its ticks in memory, so it must reach disk before the refit error
 // returns. A reopen right after it shows the same head, length and retry

@@ -189,6 +189,10 @@ func instrument(path string, m *Metrics, log *slog.Logger, tr *trace.Tracer, nex
 				trace.String("route", path),
 				trace.String("method", r.Method),
 				trace.String("path", r.URL.Path))
+			// End is idempotent, so this only takes effect when the
+			// handler panics — and it must, because the flight recorder
+			// never evicts a trace whose span is still open.
+			defer span.End()
 			r = r.WithContext(ctx)
 			traceID = span.Context().TraceID.String()
 			// Echo the id so clients (and the CI smoke test) can pull the

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log/slog"
@@ -40,7 +41,14 @@ func (s *syncBuffer) String() string {
 // logs captured, mirroring how dspot-serve wires the pieces.
 func tracedServer(t *testing.T) (*httptest.Server, *trace.Recorder, *syncBuffer) {
 	t.Helper()
-	rec := trace.NewRecorder(trace.RecorderOptions{})
+	return tracedServerWith(t, trace.RecorderOptions{})
+}
+
+// tracedServerWith is tracedServer over a flight recorder with the given
+// bounds.
+func tracedServerWith(t *testing.T, opts trace.RecorderOptions) (*httptest.Server, *trace.Recorder, *syncBuffer) {
+	t.Helper()
+	rec := trace.NewRecorder(opts)
 	tracer := trace.NewTracer(rec)
 	reg, err := registry.Open(registry.Options{
 		StreamFit: core.FitOptions{
@@ -213,6 +221,81 @@ func TestJobFitTraceEndToEnd(t *testing.T) {
 	}
 	if !finishedLine {
 		t.Errorf("no job-finished log line carries trace_id %s:\n%s", traceID, out)
+	}
+}
+
+// TestJobFitTraceSurvivesStatusPolls: every status poll of an async job is
+// a trace of its own, and a fit outlasts far more polls than a small flight
+// recorder holds. The job's trace must still come back whole — the request
+// and queue-wait spans recorded early beside the run and fit spans
+// recorded late — because a trace is not evicted while a span in it is
+// open. Slow-trace retention is off, so only that rule can keep it.
+func TestJobFitTraceSurvivesStatusPolls(t *testing.T) {
+	srv, rec, _ := tracedServerWith(t, trace.RecorderOptions{MaxTraces: 8, SlowThreshold: -1})
+	resp, err := http.Post(srv.URL+"/v1/jobs/fit?global_only=1&no_growth=1",
+		"text/csv", strings.NewReader(smallTensorCSV(t)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	traceID := resp.Header.Get("X-Trace-Id")
+	var acc struct {
+		JobID string `json:"job_id"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&acc); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("jobs/fit status %d", resp.StatusCode)
+	}
+	polls, deadline := 0, time.Now().Add(30*time.Second)
+	for {
+		var snap jobs.Snapshot
+		getJSON(t, srv.URL+"/v1/jobs/"+acc.JobID, &snap)
+		polls++
+		if snap.State.Terminal() {
+			if snap.State != jobs.StateDone {
+				t.Fatalf("job state %s (%s)", snap.State, snap.Error)
+			}
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s never finished", acc.JobID)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if polls <= 8 {
+		t.Skipf("the job ended after %d polls: too few to overflow the recorder", polls)
+	}
+	td := fetchTrace(t, srv.URL, traceID,
+		"http.request", "job.wait", "job.run", "fit.global", "fit.keyword")
+	if n := rec.Len(); n > 8 {
+		t.Fatalf("recorder holds %d traces after the job ended, want at most MaxTraces=8", n)
+	}
+	t.Logf("%d spans survived %d status polls", len(td.Spans), polls)
+}
+
+// TestMiddlewareEndsSpanOnPanic: the request span ends even when its
+// handler panics. The flight recorder keeps a trace while a span in it is
+// open, so a span left open by a panic would pin its trace for good.
+func TestMiddlewareEndsSpanOnPanic(t *testing.T) {
+	rec := trace.NewRecorder(trace.RecorderOptions{MaxTraces: 1})
+	tr := trace.NewTracer(rec)
+	h := instrument("/boom", nil, nil, tr, http.HandlerFunc(func(http.ResponseWriter, *http.Request) {
+		panic("handler bug")
+	}))
+	func() {
+		defer func() { _ = recover() }()
+		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/boom", nil))
+	}()
+	traces := rec.List()
+	if len(traces) != 1 || traces[0].Root != "http.request" {
+		t.Fatalf("recorder holds %+v, want the panicked request's span", traces)
+	}
+	_, next := tr.Start(context.Background(), "next")
+	next.End()
+	if _, ok := rec.Get(traces[0].TraceID); ok {
+		t.Fatal("the panicked request's trace is still held open")
 	}
 }
 
