@@ -45,18 +45,22 @@ bench:
 
 # The fast micro-benchmarks only (seconds, not the multi-minute figure
 # benchmarks): the hot-path kernels the performance work targets.
-BENCH_MICRO = Simulate576|^BenchmarkJacobian$$|LevenbergMarquardt|GlobalFitSequence|^BenchmarkForecast$$|MDLCost|RMSE576|^BenchmarkStreamAppend$$|^BenchmarkStreamForecast$$
+BENCH_MICRO = Simulate576|^BenchmarkJacobian$$|LevenbergMarquardt|GlobalFitSequence|^BenchmarkGlobalFitGrowth$$|^BenchmarkForecast$$|MDLCost|RMSE576|^BenchmarkStreamAppend$$|^BenchmarkStreamForecast$$
 bench-micro:
 	$(GO) test -bench='$(BENCH_MICRO)' -benchmem -run XXX .
 
 # Benchmark trajectory: run the micro-benchmarks and convert the output to
 # the committed BENCH_*.json format (see README, "Benchmark trajectory").
-# Point BENCH_BEFORE at a previously captured `go test -bench` text file to
-# record a proper before/after pair; without it the fresh run fills both
-# sides (a flat baseline for the next PR to diff against).
-BENCH_JSON ?= BENCH_10.json
+# BENCH_JSON names the output file and has no default, so a bare run cannot
+# overwrite a committed record. Point BENCH_BEFORE at a previously captured
+# `go test -bench` text file to record a proper before/after pair; without
+# it the fresh run fills both sides (a flat baseline for the next change to
+# diff against).
 BENCH_AFTER_TXT ?= /tmp/dspot-bench-after.txt
 bench-json:
+ifndef BENCH_JSON
+	$(error usage: make bench-json BENCH_JSON=BENCH_<n>.json [BENCH_BEFORE=<parent bench text>])
+endif
 	$(GO) test -bench='$(BENCH_MICRO)' -benchmem -run XXX . | tee $(BENCH_AFTER_TXT)
 	$(GO) run ./cmd/benchjson -before $(if $(BENCH_BEFORE),$(BENCH_BEFORE),$(BENCH_AFTER_TXT)) \
 		-after $(BENCH_AFTER_TXT) -out $(BENCH_JSON)

@@ -328,6 +328,24 @@ func BenchmarkGlobalFitSequence(b *testing.B) {
 	}
 }
 
+// BenchmarkGlobalFitGrowth measures a GlobalFit whose time goes almost all
+// to the growth-onset search: the synthetic facebook keyword at 88 ticks,
+// where every round scans the onset grid and the MDL gate rejects growth.
+func BenchmarkGlobalFitGrowth(b *testing.B) {
+	truth, err := SyntheticGoogleTrendsKeyword("facebook",
+		SyntheticConfig{Locations: 3, Ticks: 88, Seed: 5})
+	if err != nil {
+		b.Fatal(err)
+	}
+	seq := truth.Tensor.Global(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := FitSequence(seq, Options{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkJacobian compares the cost of one LM Jacobian evaluation under
 // the two modes the fitters support: a single analytic forward-sensitivity
 // pass (BenchmarkJacobian/analytic) versus the p+1 re-simulations of the

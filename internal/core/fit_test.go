@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -96,6 +97,36 @@ func TestFitGlobalSequenceNoFalseGrowth(t *testing.T) {
 	}
 	if res.Params.HasGrowth() && res.Params.Eta0 > 0.15 {
 		t.Fatalf("spurious growth detected: %+v", res.Params)
+	}
+}
+
+// TestFitGlobalSequenceRecoversOnset is the onset-recovery property at the
+// lengths the service fits (88–260 ticks): a growth effect scripted at a
+// quarter, half or three quarters of the window, on shock-free data fitted
+// with shock discovery on, is accepted with t_η within two ticks of the
+// script.
+func TestFitGlobalSequenceRecoversOnset(t *testing.T) {
+	for _, n := range []int{88, 156, 260} {
+		for _, q := range []int{1, 2, 3} {
+			for _, seed := range []int64{1, 2} {
+				onset := n * q / 4
+				t.Run(fmt.Sprintf("n=%d/onset=%d/seed=%d", n, onset, seed), func(t *testing.T) {
+					truth := truthBase
+					truth.TEta, truth.Eta0 = onset, 0.4
+					obs := synthGlobal(truth, nil, n, 0.005, seed)
+					res, err := FitGlobalSequence(obs, 0, FitOptions{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !res.Params.HasGrowth() {
+						t.Fatalf("growth not accepted: %+v", res.Params)
+					}
+					if d := res.Params.TEta - onset; d < -2 || d > 2 {
+						t.Fatalf("onset %d, scripted %d", res.Params.TEta, onset)
+					}
+				})
+			}
+		}
 	}
 }
 

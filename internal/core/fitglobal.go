@@ -241,6 +241,20 @@ const (
 	candPolish     = 2
 )
 
+// fitGrowth's onset-search budget, the same two-phase schedule: every onset
+// the refining grid visits gets growthScreenIter iterations from each of its
+// two starts; the growthPolish best distinct onsets resume from their
+// screened endpoints with the rest of the growthFitIter budget; and each
+// neighbour of the closing ±1 hill-climb gets growthClimbIter from each of
+// its starts. The grid visits about two dozen onsets per scan and keeps
+// one, so nearly all of them are settled by the screening budget alone.
+const (
+	growthFitIter    = 80
+	growthScreenIter = 10
+	growthPolish     = 3
+	growthClimbIter  = 40
+)
+
 // batchStartSSE scores each candidate LM start by the SSE of one batched
 // forward pass against the observed sequence. NaN (all-missing) scores
 // become +Inf so every ordering built on them is total.
@@ -638,19 +652,34 @@ func sinceIfTraced(g *gfit, start time.Time) time.Duration {
 	return time.Since(start)
 }
 
-// fitGrowth searches for a population growth effect. A cheap pass grids
-// over onset times t_η with only η₀ free; the best onsets are then given a
-// joint Levenberg–Marquardt refit of {N, β, δ, γ, i0, η₀} so that a growth
-// model competes on equal footing with the growth-free base (otherwise a
+// fitGrowth searches for a population growth effect: an onset t_η and a
+// rate η₀, fitted jointly with the base parameters {N, β, δ, γ, i0} so that
+// a growth model competes on equal footing with the growth-free base (a
 // base fit that has already smeared the level shift across slow dynamics
-// can never be beaten). The growth term is kept only when the MDL cost —
-// which charges the two extra floats {η₀, t_η} — improves.
+// can otherwise never be beaten). A median-level pre-check first skips
+// series whose level never rises. The onset search is two-phase, like the
+// base and shock-candidate fits (DESIGN.md §11):
+//
+//   - screen: a refining grid over t_η ranks every onset it visits by the
+//     SSE of a short joint fit from two starts (the current base with a
+//     golden-searched η₀, and a canonical fast-mixing start);
+//   - polish: the growthPolish best distinct onsets resume from their
+//     screened endpoints with the rest of the growthFitIter budget;
+//   - climb: a ±1 hill-climb from the polished winner settles t_η. Each
+//     neighbour resumes from the best endpoint so far and, when the grid
+//     screened it, from its own screened endpoint too: warm starts alone
+//     drag the winner's (η₀, base) basin along the walk, even where a
+//     neighbour's own fit descends into a better one.
+//
+// The growth term is kept only when the MDL cost — which charges the two
+// extra floats {η₀, t_η} — improves and η₀ is not negligible.
 func (g *gfit) fitGrowth() {
 	lo, hi := g.n/20+1, g.n-g.n/20-1
 	if hi <= lo || g.cancelled() {
 		return
 	}
 	start := g.traceNow()
+	itersBefore, stallsBefore := g.lmIters, g.lmStalls
 	// Cheap pre-check: the growth effect raises the *base level*, so a
 	// series whose median level never shifts cannot carry one. Medians are
 	// robust to the shock spikes, so bursty-but-level series (the common
@@ -679,29 +708,68 @@ func (g *gfit) fitGrowth() {
 	costWithout := mdl.GaussianCost(residuals(g.seq, simWithout)) +
 		costGrowthGlobal([]KeywordParams{withoutGrowth})
 
-	// Onset search: a refining grid over t_η where each candidate gets the
-	// full joint fit. An η₀-only pass is too easily misled when the current
-	// base parameters have smeared the level shift, so the joint fit is the
-	// objective even during the coarse scan.
-	cache := map[int]KeywordParams{}
-	jointAt := func(tEta int) KeywordParams {
-		if p, ok := cache[tEta]; ok {
-			return p
+	// Screen. The joint fit is the grid's objective even at the coarse
+	// onsets: an η₀-only pass is too easily misled when the current base
+	// parameters have smeared the level shift.
+	screened := map[int]growthFit{}
+	_, _, err := optimize.RefiningGridCtx(g.ctx, func(t int) float64 {
+		f, ok := screened[t]
+		if !ok {
+			f = g.jointGrowthFit(t, eps, growthScreenIter, g.growthStarts(t, eps)...)
+			screened[t] = f
 		}
-		p := g.jointGrowthFit(tEta, eps)
-		cache[tEta] = p
-		return p
-	}
-	tEta, _, err := optimize.RefiningGridCtx(g.ctx, func(t int) float64 {
-		p := jointAt(t)
-		g.simBuf = SimulateInto(g.simBuf, &p, g.n, eps, -1)
-		return stats.SSE(g.seq, g.simBuf)
+		return f.sse
 	}, lo, hi, 16)
 	if err != nil {
 		return // cancelled mid-scan: keep the current (growth-free) params
 	}
 
-	p := jointAt(tEta)
+	// Polish. Ties break on the onset, so the selection is deterministic.
+	ranked := make([]growthFit, 0, len(screened))
+	for _, f := range screened {
+		ranked = append(ranked, f)
+	}
+	sort.Slice(ranked, func(a, b int) bool {
+		if ranked[a].sse != ranked[b].sse {
+			return ranked[a].sse < ranked[b].sse
+		}
+		return ranked[a].tEta < ranked[b].tEta
+	})
+	if len(ranked) > growthPolish {
+		ranked = ranked[:growthPolish]
+	}
+	best := ranked[0]
+	for _, f := range ranked {
+		if p := g.jointGrowthFit(f.tEta, eps, growthFitIter-growthScreenIter, f.v); p.sse < best.sse {
+			best = p
+		}
+	}
+
+	// Climb. A neighbour takes over only with a lower SSE, and no onset is
+	// climbed twice, so the walk ends.
+	climbed := map[int]bool{best.tEta: true}
+	for moved := true; moved; {
+		moved = false
+		for _, t := range [2]int{best.tEta - 1, best.tEta + 1} {
+			if t < lo || t > hi || climbed[t] {
+				continue
+			}
+			climbed[t] = true
+			starts := [][]float64{best.v}
+			if sc, ok := screened[t]; ok {
+				starts = append(starts, sc.v)
+			}
+			if f := g.jointGrowthFit(t, eps, growthClimbIter, starts...); f.sse < best.sse {
+				best, moved = f, true
+				break
+			}
+		}
+	}
+	if g.cancelled() {
+		return
+	}
+
+	p := best.params()
 	sim := Simulate(&p, g.n, eps, -1)
 	costWith := mdl.GaussianCost(residuals(g.seq, sim)) +
 		costGrowthGlobal([]KeywordParams{p})
@@ -712,18 +780,47 @@ func (g *gfit) fitGrowth() {
 		g.params = withoutGrowth
 	}
 	g.emit(FitEvent{Stage: StageGrowth, Keyword: g.keyword, Location: -1,
+		LMIters: g.lmIters - itersBefore, LMStalls: g.lmStalls - stallsBefore,
 		CostDelta: costWith - costWithout, Accepted: accepted,
 		Duration: sinceIfTraced(g, start)})
 }
 
-// jointGrowthFit runs LM over {N, β, δ, γ, i0, η₀} with t_η fixed. eps is
-// the current shock profile, computed once by the caller — the shock set is
-// fixed during the growth search, so rebuilding it per candidate onset (as
-// this function used to) was pure waste.
-func (g *gfit) jointGrowthFit(tEta int, eps []float64) KeywordParams {
+// growthFit is one joint growth fit at a fixed onset: the LM vector
+// {N, β, δ, γ, i0, η₀} it ended at and that endpoint's SSE.
+type growthFit struct {
+	tEta int
+	v    []float64
+	sse  float64
+}
+
+func (f growthFit) params() KeywordParams {
+	return KeywordParams{N: f.v[0], Beta: f.v[1], Delta: f.v[2], Gamma: f.v[3],
+		I0: f.v[4], Eta0: f.v[5], TEta: f.tEta}
+}
+
+// growthStarts returns the screening starts of a joint growth fit at onset
+// tEta: the current base parameters with η₀ from a golden search, and a
+// canonical fast-mixing start.
+func (g *gfit) growthStarts(tEta int, eps []float64) [][]float64 {
+	eta0, _, _ := optimize.GoldenCtx(g.ctx, func(e float64) float64 {
+		cand := g.params
+		cand.TEta, cand.Eta0 = tEta, e
+		g.simBuf = SimulateInto(g.simBuf, &cand, g.n, eps, -1)
+		return stats.SSE(g.seq, g.simBuf)
+	}, 0, 10, 1e-4, 60)
+	return [][]float64{
+		{g.params.N, g.params.Beta, g.params.Delta, g.params.Gamma, g.params.I0, eta0},
+		{0.3, 0.5, 0.45, 0.5, 1e-3, 0.3},
+	}
+}
+
+// jointGrowthFit runs LM over {N, β, δ, γ, i0, η₀} with t_η fixed, for up
+// to maxIter iterations from each start, and returns the lowest-SSE
+// endpoint (the first start at +Inf SSE when every run fails). eps is the
+// shock profile, fixed for the whole growth search.
+func (g *gfit) jointGrowthFit(tEta int, eps []float64, maxIter int, starts ...[]float64) growthFit {
 	build := func(v []float64) KeywordParams {
-		return KeywordParams{N: v[0], Beta: v[1], Delta: v[2], Gamma: v[3],
-			I0: v[4], Eta0: v[5], TEta: tEta}
+		return growthFit{tEta: tEta, v: v}.params()
 	}
 	resid := func(dst, v []float64) []float64 {
 		cand := build(v)
@@ -738,27 +835,17 @@ func (g *gfit) jointGrowthFit(tEta int, eps []float64) KeywordParams {
 		})
 	lo := []float64{1e-4, 1e-4, 1e-4, 1e-4, 1e-7, 0}
 	hi := []float64{20, 5, 2, 2, 1, 10}
-	eta0, _, _ := optimize.GoldenCtx(g.ctx, func(e float64) float64 {
-		cand := g.params
-		cand.TEta, cand.Eta0 = tEta, e
-		g.simBuf = SimulateInto(g.simBuf, &cand, g.n, eps, -1)
-		return stats.SSE(g.seq, g.simBuf)
-	}, 0, 10, 1e-4, 60)
-	start := []float64{g.params.N, g.params.Beta, g.params.Delta, g.params.Gamma,
-		g.params.I0, eta0}
-	bestSSE := math.Inf(1)
-	best := build(start)
-	for _, s0 := range [][]float64{start, {0.3, 0.5, 0.45, 0.5, 1e-3, 0.3}} {
+	best := growthFit{tEta: tEta, v: starts[0], sse: math.Inf(1)}
+	for _, s0 := range starts {
 		if g.cancelled() {
 			break
 		}
-		res, err := g.lmFit(resid, s0, g.lmOpts(80, lo, hi, jacFn))
+		res, err := g.lmFit(resid, s0, g.lmOpts(maxIter, lo, hi, jacFn))
 		if err != nil {
 			continue
 		}
-		if res.SSE < bestSSE {
-			bestSSE = res.SSE
-			best = build(res.Params)
+		if res.SSE < best.sse {
+			best.v, best.sse = res.Params, res.SSE
 		}
 	}
 	return best
@@ -781,6 +868,7 @@ func (g *gfit) growShocks() {
 	cur := g.cost()
 	for len(g.shocks) < g.opts.MaxShocks && !g.cancelled() {
 		start := g.traceNow()
+		itersBefore, stallsBefore := g.lmIters, g.lmStalls
 		cand, params, cost, ok := g.bestShockCandidate()
 		if !ok {
 			break
@@ -789,8 +877,9 @@ func (g *gfit) growShocks() {
 		if g.opts.Progress != nil {
 			sc := cand // stable copy: the live shock keeps being refined
 			g.opts.Progress(FitEvent{Stage: StageShock, Keyword: g.keyword,
-				Location: -1, CostDelta: cost - cur, Accepted: accepted,
-				Shock: &sc, Duration: time.Since(start)})
+				Location: -1, LMIters: g.lmIters - itersBefore,
+				LMStalls: g.lmStalls - stallsBefore, CostDelta: cost - cur,
+				Accepted: accepted, Shock: &sc, Duration: time.Since(start)})
 		}
 		if !accepted {
 			break

@@ -66,8 +66,8 @@ func TestShockValidate(t *testing.T) {
 		{Period: 52, Start: 200, Width: 2, Strength: []float64{1}},
 		{Period: -3, Start: 10, Width: 2, Strength: []float64{1}},
 		{Period: 4, Start: 10, Width: 9, Strength: []float64{1}},
-		{Period: 52, Start: 10, Width: 3, Strength: []float64{1}},            // wrong count
-		{Period: 52, Start: 10, Width: 3, Strength: []float64{-1, 1}},        // negative
+		{Period: 52, Start: 10, Width: 3, Strength: []float64{1}},     // wrong count
+		{Period: 52, Start: 10, Width: 3, Strength: []float64{-1, 1}}, // negative
 		{Period: 52, Start: 10, Width: 3, Strength: []float64{math.NaN(), 1}} /* NaN */}
 	for i, s := range bad {
 		if err := s.Validate(100, 0); err == nil {

@@ -34,8 +34,8 @@ type FitEvent struct {
 	Keyword   int           // keyword index; -1 for phase-level events
 	Location  int           // location index; -1 unless Stage == StageLocalCell
 	Round     int           // outer alternation round (keyword events)
-	LMIters   int           // LM iterations spent (base and keyword events)
-	LMStalls  int           // LM runs that stalled at MaxLambda (base and keyword events)
+	LMIters   int           // LM iterations spent (base, growth, shock and keyword events)
+	LMStalls  int           // LM runs that stalled at MaxLambda (same events as LMIters)
 	Residual  float64       // objective after the stage (SSE or MDL cost)
 	CostDelta float64       // candidate MDL cost − incumbent cost (shock/growth)
 	Accepted  bool          // MDL verdict (shock/growth events)
@@ -96,21 +96,27 @@ type KeywordFitStats struct {
 // how hard LM worked, and what the MDL gates decided. Stage durations for
 // per-keyword and per-cell stages sum across parallel workers, so they can
 // exceed the phase wall-clock; the Global/Local durations are true
-// wall-clock for each phase.
+// wall-clock for each phase. LMIterations and LMStalls are the keyword
+// events' totals; StageLMIterations and StageLMStalls split them by the
+// base, growth and shock stages. LM work outside those stages, such as the
+// joint strength refinement after shock discovery, belongs to none, so the
+// stage sums can fall short of the totals.
 type FitReport struct {
-	Keywords       int                      `json:"keywords"`
-	LMIterations   int                      `json:"lm_iterations"`
-	LMStalls       int                      `json:"lm_stalls"`
-	ShocksTried    int                      `json:"shocks_tried"`
-	ShocksAccepted int                      `json:"shocks_accepted"`
-	GrowthTried    int                      `json:"growth_tried"`
-	GrowthAccepted int                      `json:"growth_accepted"`
-	LocalCells     int                      `json:"local_cells"`
-	Panics         int                      `json:"panics"` // contained worker panics
-	GlobalDuration time.Duration            `json:"global_duration_ns"`
-	LocalDuration  time.Duration            `json:"local_duration_ns"`
-	StageDurations map[string]time.Duration `json:"stage_durations_ns"`
-	PerKeyword     []KeywordFitStats        `json:"per_keyword"`
+	Keywords          int                      `json:"keywords"`
+	LMIterations      int                      `json:"lm_iterations"`
+	LMStalls          int                      `json:"lm_stalls"`
+	StageLMIterations map[string]int           `json:"stage_lm_iterations"`
+	StageLMStalls     map[string]int           `json:"stage_lm_stalls"`
+	ShocksTried       int                      `json:"shocks_tried"`
+	ShocksAccepted    int                      `json:"shocks_accepted"`
+	GrowthTried       int                      `json:"growth_tried"`
+	GrowthAccepted    int                      `json:"growth_accepted"`
+	LocalCells        int                      `json:"local_cells"`
+	Panics            int                      `json:"panics"` // contained worker panics
+	GlobalDuration    time.Duration            `json:"global_duration_ns"`
+	LocalDuration     time.Duration            `json:"local_duration_ns"`
+	StageDurations    map[string]time.Duration `json:"stage_durations_ns"`
+	PerKeyword        []KeywordFitStats        `json:"per_keyword"`
 }
 
 // TotalDuration is the wall-clock of the traced phases.
@@ -149,6 +155,15 @@ func (r *FitReport) String() string {
 		}
 		b.WriteByte('\n')
 	}
+	if len(r.StageLMIterations) > 0 {
+		b.WriteString("  stage LM iterations (stalled runs):")
+		for _, s := range []string{StageBase, StageGrowth, StageShock} {
+			if it, ok := r.StageLMIterations[s]; ok {
+				fmt.Fprintf(&b, " %s=%d (%d)", s, it, r.StageLMStalls[s])
+			}
+		}
+		b.WriteByte('\n')
+	}
 	for _, k := range r.PerKeyword {
 		fmt.Fprintf(&b, "  keyword %-3d rounds=%d lm_iters=%-5d cost=%-10.1f shocks=%d/%d  %v\n",
 			k.Keyword, k.Rounds, k.LMIterations, k.Cost,
@@ -169,8 +184,12 @@ type FitTrace struct {
 // NewFitTrace returns an empty collector.
 func NewFitTrace() *FitTrace {
 	return &FitTrace{
-		report: FitReport{StageDurations: make(map[string]time.Duration)},
-		perKw:  make(map[int]*KeywordFitStats),
+		report: FitReport{
+			StageDurations:    make(map[string]time.Duration),
+			StageLMIterations: make(map[string]int),
+			StageLMStalls:     make(map[string]int),
+		},
+		perKw: make(map[int]*KeywordFitStats),
 	}
 }
 
@@ -190,6 +209,11 @@ func (t *FitTrace) observe(ev FitEvent) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.report.StageDurations[ev.Stage] += ev.Duration
+	switch ev.Stage {
+	case StageBase, StageGrowth, StageShock:
+		t.report.StageLMIterations[ev.Stage] += ev.LMIters
+		t.report.StageLMStalls[ev.Stage] += ev.LMStalls
+	}
 	switch ev.Stage {
 	case StageShock:
 		t.report.ShocksTried++
@@ -233,6 +257,14 @@ func (t *FitTrace) Report() *FitReport {
 	out.StageDurations = make(map[string]time.Duration, len(t.report.StageDurations))
 	for k, v := range t.report.StageDurations {
 		out.StageDurations[k] = v
+	}
+	out.StageLMIterations = make(map[string]int, len(t.report.StageLMIterations))
+	for k, v := range t.report.StageLMIterations {
+		out.StageLMIterations[k] = v
+	}
+	out.StageLMStalls = make(map[string]int, len(t.report.StageLMStalls))
+	for k, v := range t.report.StageLMStalls {
+		out.StageLMStalls[k] = v
 	}
 	kws := make([]int, 0, len(t.perKw))
 	for i := range t.perKw {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -105,9 +106,44 @@ func TestProgressHookEvents(t *testing.T) {
 		if ev.Keyword != 0 {
 			t.Fatalf("shock event keyword %d", ev.Keyword)
 		}
+		if ev.LMIters <= 0 {
+			t.Fatalf("shock event without the LM iterations it spent: %+v", ev)
+		}
 		if ev.Accepted && ev.CostDelta >= 0 {
 			t.Fatalf("accepted shock with non-negative cost delta: %+v", ev)
 		}
+	}
+}
+
+// TestFitReportStageLMCounts fits a growth-bearing series and checks that
+// the growth stage reports the LM iterations it spends, and that the
+// per-stage sums split the keyword totals rather than adding to them.
+func TestFitReportStageLMCounts(t *testing.T) {
+	truth := truthBase
+	truth.TEta, truth.Eta0 = 78, 0.4
+	obs := synthGlobal(truth, nil, 156, 0.005, 1)
+	tr := NewFitTrace()
+	if _, err := FitGlobalSequence(obs, 0, FitOptions{Progress: tr.Hook()}); err != nil {
+		t.Fatal(err)
+	}
+	rep := tr.Report()
+	if rep.GrowthAccepted == 0 {
+		t.Fatalf("growth not accepted: %+v", rep)
+	}
+	if rep.StageLMIterations[StageGrowth] <= 0 {
+		t.Fatalf("growth stage reports no LM iterations: %v", rep.StageLMIterations)
+	}
+	sum := 0
+	for _, it := range rep.StageLMIterations {
+		sum += it
+	}
+	if sum > rep.LMIterations {
+		t.Fatalf("stage LM iterations %v sum to %d, above the total %d",
+			rep.StageLMIterations, sum, rep.LMIterations)
+	}
+	want := fmt.Sprintf("growth=%d (%d)", rep.StageLMIterations[StageGrowth], rep.StageLMStalls[StageGrowth])
+	if out := rep.String(); !strings.Contains(out, want) {
+		t.Errorf("report String() omits the growth stage's LM iterations %q:\n%s", want, out)
 	}
 }
 

@@ -59,7 +59,7 @@ func scoreRecovery(spec datagen.KeywordSpec, params core.KeywordParams,
 			}
 			if abs(s.Period-want.Period) <= tol {
 				score.PeriodFound = true
-				phase := abs((s.Start%want.Period)-(want.Start%want.Period))
+				phase := abs((s.Start % want.Period) - (want.Start % want.Period))
 				if wrap := want.Period - phase; wrap < phase {
 					phase = wrap
 				}

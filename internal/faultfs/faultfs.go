@@ -86,7 +86,7 @@ func (OS) ReadFile(name string) ([]byte, error) { return os.ReadFile(name) }
 func (OS) ReadDir(name string) ([]fs.DirEntry, error) {
 	return os.ReadDir(name)
 }
-func (OS) Stat(name string) (fs.FileInfo, error)      { return os.Stat(name) }
+func (OS) Stat(name string) (fs.FileInfo, error)        { return os.Stat(name) }
 func (OS) MkdirAll(path string, perm fs.FileMode) error { return os.MkdirAll(path, perm) }
 
 func (OS) SyncDir(dir string) error {

@@ -285,16 +285,15 @@ func fitCore(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 			}
 		}
 
-		// Normal equations: (JᵀJ + λ·diag(JᵀJ))·δ = Jᵀr, accumulated as one
-		// row-wise sweep of rank-1 updates. A cell-at-a-time dot product
-		// walks the whole m×dim Jacobian once per cell pair with stride dim
-		// (the m·dim²/2 loads all miss L1 once the Jacobian outgrows it);
-		// the row-wise sweep streams the Jacobian exactly once while jtj —
-		// dim² floats — stays cache-resident. Each cell still receives its
-		// terms in ascending-i order, so the sums are bit-identical to the
-		// dot-product form. Rows with a NaN residual carry all-zero Jacobian
-		// entries (set during the fill above), and adding +0 terms never
-		// changes a running sum, so only Jᵀr needs the explicit NaN guard.
+		// Normal equations: (JᵀJ + λ·diag(JᵀJ))·δ = Jᵀr. Each cell of Jᵀr
+		// and of JᵀJ's upper triangle is one dot product accumulated in a
+		// register, walking the row-major m×dim Jacobian down its columns
+		// with stride dim; the lower triangle is mirrored afterwards. Every
+		// cell sums its terms in ascending-i order, so the result is
+		// bit-identical to any other assembly in that order. Rows with a NaN
+		// residual carry all-zero Jacobian entries (set during the fill
+		// above), and adding +0 terms never changes a running sum, so only
+		// Jᵀr needs the explicit NaN guard.
 		for a := 0; a < dim; a++ {
 			sr := 0.0
 			for i, ia := 0, a; i < m; i, ia = i+1, ia+dim {

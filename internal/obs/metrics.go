@@ -149,8 +149,8 @@ func (s *scalar) add(delta float64) {
 	}
 }
 
-func (s *scalar) set(v float64)     { s.bits.Store(math.Float64bits(v)) }
-func (s *scalar) value() float64    { return math.Float64frombits(s.bits.Load()) }
+func (s *scalar) set(v float64)  { s.bits.Store(math.Float64bits(v)) }
+func (s *scalar) value() float64 { return math.Float64frombits(s.bits.Load()) }
 func (s *scalar) expose(w io.Writer, name, suffix string) {
 	fmt.Fprintf(w, "%s%s %s\n", name, suffix, formatFloat(s.value()))
 }
