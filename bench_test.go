@@ -288,25 +288,39 @@ func BenchmarkSimulate576(b *testing.B) {
 }
 
 // BenchmarkLevenbergMarquardt measures an LM fit of the 5-parameter base
-// model against a 576-tick sequence.
+// model against a 576-tick sequence along the production path: lm.FitInto
+// with the base fit's bounds, residuals simulated into LM's own buffers,
+// and the analytic Jacobian from SimulateWithSensitivities over
+// BaseSensSpecs, the Jacobian the fitters install.
 func BenchmarkLevenbergMarquardt(b *testing.B) {
+	const n = 576
 	truth := KeywordParams{N: 1, Beta: 0.5, Delta: 0.45, Gamma: 0.5, I0: 0.02,
 		TEta: NoGrowth}
-	obs := core.Simulate(&truth, 576, nil, -1)
-	resid := func(p []float64) []float64 {
-		cand := KeywordParams{N: p[0], Beta: p[1], Delta: p[2], Gamma: p[3],
-			I0: p[4], TEta: NoGrowth}
-		sim := core.Simulate(&cand, 576, nil, -1)
-		r := make([]float64, len(sim))
-		for t := range r {
-			r[t] = sim[t] - obs[t]
-		}
-		return r
+	obs := core.Simulate(&truth, n, nil, -1)
+	params := func(v []float64) KeywordParams {
+		return KeywordParams{N: v[0], Beta: v[1], Delta: v[2], Gamma: v[3],
+			I0: v[4], TEta: NoGrowth}
 	}
+	resid := func(dst, v []float64) []float64 {
+		p := params(v)
+		dst = core.SimulateInto(dst, &p, n, nil, -1)
+		for t := range dst {
+			dst[t] -= obs[t]
+		}
+		return dst
+	}
+	specs := core.BaseSensSpecs()
+	sim := make([]float64, n)
+	jac := func(jac, v []float64) {
+		p := params(v)
+		core.SimulateWithSensitivities(sim, jac, &p, n, nil, -1, specs)
+	}
+	opts := lm.Options{MaxIter: 50, Jacobian: jac,
+		Lower: []float64{1e-4, 1e-4, 1e-4, 1e-4, 1e-7},
+		Upper: []float64{20, 5, 2, 2, 1}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := lm.Fit(resid, []float64{0.5, 0.3, 0.3, 0.3, 0.01},
-			lm.Options{MaxIter: 50}); err != nil {
+		if _, err := lm.FitInto(resid, []float64{0.5, 0.3, 0.3, 0.3, 0.01}, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

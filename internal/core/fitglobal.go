@@ -214,15 +214,10 @@ type gfit struct {
 	epsBase []float64
 	simBuf  []float64
 	sensBuf []float64
-	// batchBuf and epsBatchBuf back the multi-start pruning passes: one
-	// lane-major simulation block and (for shock candidates, whose starts
-	// carry different strengths) one ε profile per candidate start.
-	batchBuf    []float64
-	epsBatchBuf []float64
 }
 
 // evaluateCandidate's multi-start budget: of the 8 warm/masked/canonical
-// candidate starts, one batched forward pass (SimulateBatchInto) keeps the
+// candidate starts, one forward simulation each (startSSE) keeps the
 // candKeep most promising by initial SSE (warm and masked always survive);
 // each survivor gets a candScreenIter-iteration screening LM run; and the
 // candPolish best screened results — ranked by MDL cost, the measure that
@@ -255,20 +250,16 @@ const (
 	growthClimbIter  = 40
 )
 
-// batchStartSSE scores each candidate LM start by the SSE of one batched
-// forward pass against the observed sequence. NaN (all-missing) scores
-// become +Inf so every ordering built on them is total.
-func (g *gfit) batchStartSSE(params []KeywordParams, eps [][]float64) []float64 {
-	g.batchBuf = SimulateBatchInto(g.batchBuf, params, g.n, eps, -1)
-	sses := make([]float64, len(params))
-	for i := range params {
-		sse := stats.SSE(g.seq, g.batchBuf[i*g.n:(i+1)*g.n])
-		if math.IsNaN(sse) {
-			sse = math.Inf(1)
-		}
-		sses[i] = sse
+// startSSE scores one candidate LM start by the SSE of its forward
+// simulation (into simBuf) against the observed sequence. A NaN
+// (all-missing) score becomes +Inf so every ordering built on the scores is
+// total.
+func (g *gfit) startSSE(p *KeywordParams, eps []float64) float64 {
+	g.simBuf = SimulateInto(g.simBuf, p, g.n, eps, -1)
+	if sse := stats.SSE(g.seq, g.simBuf); !math.IsNaN(sse) {
+		return sse
 	}
-	return sses
+	return math.Inf(1)
 }
 
 // bestStartIdx returns the indices of the starts worth a full LM run, in
@@ -472,8 +463,8 @@ func (g *gfit) cost() float64 {
 // starting points (used on the first round, when no warm start exists).
 func (g *gfit) fitBase(multiStart bool) { g.fitBaseIter(multiStart, 120, true) }
 
-// fitBaseIter is fitBase with an iteration budget and an optional batched
-// pruning of the multi-start set (one SimulateBatchInto pass keeps the best
+// fitBaseIter is fitBase with an iteration budget and an optional pruning
+// of the multi-start set (one forward simulation per start keeps the best
 // start of each population-scale group — see the pruning block below). Both
 // the top-level base fits and the per-candidate masked fits prune; the
 // two-phase screen/polish loop underneath is what keeps pruning safe, since
@@ -539,22 +530,18 @@ func (g *gfit) fitBaseIter(multiStart bool, maxIter int, prune bool) {
 		starts = append(starts, start{base[0], 0.5, 0.05, 0.05, base[4]}) // slow-mixing
 	}
 	if prune && len(groups) > 0 {
-		// Batched pruning, one LM run per basin: the basins of the base fit
-		// are indexed by population-scale headroom, so each contact-rate
-		// sweep keeps only its lowest initial-SSE member (scored by one
-		// SimulateBatchInto pass over all starts) while the warm start and
+		// Pruning, one LM run per basin: the basins of the base fit are
+		// indexed by population-scale headroom, so each contact-rate sweep
+		// keeps only its lowest initial-SSE member while the warm start and
 		// the slow-mixing start survive unconditionally. Pruning across
 		// groups by global SSE rank is tempting but wrong: a spiky-basin
 		// start can look terrible at its starting point yet win after LM.
-		cand := make([]KeywordParams, len(starts))
-		epsL := make([][]float64, len(starts))
+		sses := make([]float64, len(starts))
 		for i, s0 := range starts {
 			p := g.params
 			p.N, p.Beta, p.Delta, p.Gamma, p.I0 = s0[0], s0[1], s0[2], s0[3], s0[4]
-			cand[i] = p
-			epsL[i] = eps
+			sses[i] = g.startSSE(&p, eps)
 		}
-		sses := g.batchStartSSE(cand, epsL)
 		keep := make(map[int]bool, len(groups)+2)
 		keep[0] = true
 		keep[len(starts)-1] = true
@@ -1093,14 +1080,17 @@ func (g *gfit) evaluateCandidate(s Shock) (Shock, KeywordParams, float64) {
 	// would, keeping the profile bit-identical to the allocating path.
 	g.epsBase = epsilonFromShocksInto(g.epsBase, others, g.n)
 	epsBase := g.epsBase
-	resid := func(dst, v []float64) []float64 {
-		p, strengths := build(v)
+	candEps := func(strengths []float64) []float64 {
 		cand := s
 		cand.Strength = strengths
 		g.epsBuf = ensureLen(g.epsBuf, g.n)
 		copy(g.epsBuf, epsBase)
 		addShockProfile(g.epsBuf, &cand, strengths)
-		g.simBuf = SimulateInto(g.simBuf, &p, g.n, g.epsBuf, -1)
+		return g.epsBuf
+	}
+	resid := func(dst, v []float64) []float64 {
+		p, strengths := build(v)
+		g.simBuf = SimulateInto(g.simBuf, &p, g.n, candEps(strengths), -1)
 		return residualsInto(dst, g.seq, g.simBuf)
 	}
 	specs := BaseSensSpecs()
@@ -1111,12 +1101,7 @@ func (g *gfit) evaluateCandidate(s Shock) (Shock, KeywordParams, float64) {
 	jacFn := g.sensJacobian(specs, func(v []float64) (*KeywordParams, []float64) {
 		var strengths []float64
 		jp, strengths = build(v)
-		cand := s
-		cand.Strength = strengths
-		g.epsBuf = ensureLen(g.epsBuf, g.n)
-		copy(g.epsBuf, epsBase)
-		addShockProfile(g.epsBuf, &cand, strengths)
-		return &jp, g.epsBuf
+		return &jp, candEps(strengths)
 	})
 	lo := make([]float64, 5+occ)
 	hi := make([]float64, 5+occ)
@@ -1170,27 +1155,17 @@ func (g *gfit) evaluateCandidate(s Shock) (Shock, KeywordParams, float64) {
 		}
 	}
 	if len(starts) > candKeep {
-		// Batched pruning: one SimulateBatchInto pass scores every start's
-		// initial SSE (each lane with its own strengths layered onto the
-		// shared base ε). The warm and masked starts (indices 0 and 1) are
-		// exempt — the masked start exists precisely because its basin beats
-		// its initial SSE — and the bar is deliberately loose: the screening
-		// runs below do the real basin ranking.
-		k := len(starts)
-		candP := make([]KeywordParams, k)
-		epsL := make([][]float64, k)
-		g.epsBatchBuf = ensureLen(g.epsBatchBuf, k*g.n)
+		// Pruning: one forward simulation scores every start's initial SSE
+		// (each with its own strengths layered onto the shared base ε). The
+		// warm and masked starts (indices 0 and 1) are exempt — the masked
+		// start exists precisely because its basin beats its initial SSE —
+		// and the bar is deliberately loose: the screening runs below do the
+		// real basin ranking.
+		sses := make([]float64, len(starts))
 		for i, v := range starts {
 			p, strengths := build(v)
-			candP[i] = p
-			lane := g.epsBatchBuf[i*g.n : (i+1)*g.n]
-			copy(lane, epsBase)
-			cand := s
-			cand.Strength = strengths
-			addShockProfile(lane, &cand, strengths)
-			epsL[i] = lane
+			sses[i] = g.startSSE(&p, candEps(strengths))
 		}
-		sses := g.batchStartSSE(candP, epsL)
 		keep := bestStartIdx(sses, candKeep, 2)
 		pruned := make([][]float64, 0, len(keep))
 		for _, i := range keep {
@@ -1337,12 +1312,12 @@ func (g *gfit) fitShockStrengths(s *Shock) {
 	// Checkpointed simulation: occurrences are fitted in time order and
 	// Strength[m] only perturbs ε(t) inside its own window, so the state
 	// entering the window never depends on the value being searched. The
-	// shared state advances monotonically to each window start; per golden
-	// evaluation only [wstart, wend) is re-simulated from a copy of the
-	// checkpoint — bit-identical to the full re-simulation this replaces
-	// (simState.tick matches SimulateInto exactly; see batch.go).
+	// checkpoint advances monotonically to each window start; per golden
+	// evaluation only [wstart, wend) is re-simulated from it — bit-identical
+	// to a full re-simulation, since SimulateInto runs the same kernel.
 	g.simBuf = ensureLen(g.simBuf, g.n)
-	ckpt := newSimState(&g.params, g.n, -1)
+	k := newKernel(&g.params, -1)
+	ckpt, at := k.x0, 0
 	for m := 0; m < occ; m++ {
 		if g.cancelled() {
 			break
@@ -1357,12 +1332,12 @@ func (g *gfit) fitShockStrengths(s *Shock) {
 			wend = wstart + 4*s.Width + 16
 		}
 		ohi := wstart + s.Width
-		ckpt.advance(g.simBuf, g.epsBuf, wstart)
+		ckpt = k.run(ckpt, at, g.epsBuf[at:wstart], g.simBuf[at:wstart])
+		at = wstart
 		obj := func(str float64) float64 {
 			self.Strength[m] = str
 			rebuildEpsilonWindow(g.epsBuf, working, wstart, ohi)
-			win := ckpt
-			win.advance(g.simBuf, g.epsBuf, wend)
+			k.run(ckpt, wstart, g.epsBuf[wstart:wend], g.simBuf[wstart:wend])
 			return stats.SSE(g.seq[wstart:wend], g.simBuf[wstart:wend])
 		}
 		strength, _, _ := optimize.GoldenCtx(g.ctx, obj, 0, 60, 1e-3, 60)

@@ -97,9 +97,6 @@ const (
 	debtStaleScale = 4
 )
 
-// sivPoint is the SIV fraction state entering one tick.
-type sivPoint struct{ s, i, v float64 }
-
 // incState is the derived per-stream state of the incremental path. It is
 // never serialised: RestoreStream rebuilds it deterministically from the
 // sequence and the fit result, and the rebuild is bit-identical to having
@@ -108,12 +105,9 @@ type incState struct {
 	w     int     // ring capacity == TailWindow
 	scale float64 // normalisation of the fit this state extends
 
-	// Normalised parameters, sanitised exactly as SimulateInto's fast path
-	// sanitises them, so the per-tick stepper below stays bit-identical to a
-	// batch simulation over the same inputs.
-	p      KeywordParams
-	oneEta float64 // 1 + sanitised growth magnitude
-	gStart int     // first tick with the growth factor active (maxInt when none)
+	// The fit's kernel at normalised N: sim and resid are in the [0,1]
+	// space the fit ran in.
+	sivKernel
 
 	head int      // ticks simulated so far; rings cover [head-w, head)
 	cur  sivPoint // state entering tick head
@@ -128,8 +122,8 @@ type incState struct {
 }
 
 // newIncState builds the incremental state for a fitted stream by replaying
-// the whole sequence once through the per-tick stepper — O(n), paid only at
-// (re)fit and restore time. future overrides the projected per-shock
+// the whole sequence once through the kernel — O(n), paid only at (re)fit
+// and restore time. future overrides the projected per-shock
 // strengths (restore passes the persisted ones; nil recomputes them).
 func newIncState(seq []float64, res *GlobalFitResult, future []float64, w int) *incState {
 	st := &incState{w: w, scale: res.Scale}
@@ -137,26 +131,8 @@ func newIncState(seq []float64, res *GlobalFitResult, future []float64, w int) *
 	if st.scale > 0 {
 		p.N = p.N / st.scale // back into normalised space
 	}
-	// Mirror of SimulateInto's input sanitisation: the stepper must produce
-	// the same bits a batch simulation would.
-	if math.IsNaN(p.N) || math.IsInf(p.N, 0) || p.N < 0 {
-		p.N = 0
-	}
-	eta := p.Eta0
-	if math.IsNaN(eta) || math.IsInf(eta, 0) {
-		eta = 0
-	}
-	st.oneEta = 1 + eta
-	st.gStart = math.MaxInt
-	if p.TEta != NoGrowth {
-		st.gStart = p.TEta
-		if st.gStart < 0 {
-			st.gStart = 0
-		}
-	}
-	st.p = p
-	i0 := clamp01(p.I0)
-	st.cur = sivPoint{s: 1 - i0, i: i0, v: 0}
+	st.sivKernel = newKernel(&p, -1)
+	st.cur = st.x0
 	st.states = make([]sivPoint, w)
 	st.sim = make([]float64, w)
 	st.resid = make([]float64, w)
@@ -205,12 +181,12 @@ func (st *incState) advance(shocks []Shock, raw float64) {
 // it with its simulated output and residual in the rings, and returns the
 // normalised observation (NaN when unusable).
 func (st *incState) record(t int, eps, raw float64) float64 {
-	st.states[t%st.w] = st.cur
-	var out float64
-	st.cur, out = st.step(st.cur, t, eps)
+	r := t % st.w
+	st.states[r] = st.cur
+	e := [1]float64{eps}
+	st.cur = st.run(st.cur, t, e[:], st.sim[r:r+1])
 	norm := st.normObs(raw)
-	st.sim[t%st.w] = out
-	st.resid[t%st.w] = norm - out
+	st.resid[r] = norm - st.sim[r]
 	return norm
 }
 
@@ -251,51 +227,19 @@ func epsAt(shocks []Shock, t int) float64 {
 	return e
 }
 
-// step advances the SIV recurrence one tick: from x, the state entering
-// tick t, under susceptible rate eps, it returns the state entering t+1 and
-// the normalised output N·i(t). It is pure — it reads only the sanitised
-// parameters — so callers step a copy of any checkpoint (the ring, cur)
-// without saving and restoring anything. It is a statement-for-statement
-// mirror of SimulateInto's clean-ε fast path (growth split included), which
-// keeps the incremental simulation bit-identical to the batch one —
-// TestIncrementalStepMatchesSimulate pins this against the real
-// SimulateInto.
-func (st *incState) step(x sivPoint, t int, eps float64) (sivPoint, float64) {
-	out := st.p.N * x.i
-	var infect float64
-	if t >= st.gStart {
-		infect = st.p.Beta * x.s * eps * x.i * st.oneEta
-	} else {
-		infect = st.p.Beta * x.s * eps * x.i
-	}
-	lose := st.p.Delta * x.i
-	wake := st.p.Gamma * x.v
-	s := clamp01(x.s - infect + wake)
-	i := clamp01(x.i + infect - lose)
-	v := clamp01(x.v + lose - wake)
-	if tot := s + i + v; tot > 0 && tot != 1 {
-		s, i, v = s/tot, i/tot, v/tot
-	}
-	return sivPoint{s: s, i: i, v: v}, out
-}
-
-// forecast steps the recurrence h ticks past the head from a copy of cur,
-// with ε(t) projected by epsAt, and returns n·i(t) for each of those ticks:
-// O(h·#shocks) steps, one allocation, and no writes to the state or the
-// shocks. n is the fit's raw population scale, sanitised as SimulateInto
-// sanitises it, so the result is the tail of the batch simulation
-// ForecastGlobal runs over the whole window.
-func (st *incState) forecast(shocks []Shock, n float64, h int) []float64 {
-	if math.IsNaN(n) || math.IsInf(n, 0) || n < 0 {
-		n = 0
-	}
+// forecast steps the recurrence h ticks past the head from cur, with ε(t)
+// projected by epsAt, and returns N·i(t) for each of those ticks: O(h·#shocks)
+// work, one allocation, and no writes to the state or the shocks. p is the
+// fit's raw parameters; its kernel differs from the embedded one only in N,
+// which scales the output and never the state, so the result is the tail of
+// the batch simulation ForecastGlobal runs over the whole window.
+func (st *incState) forecast(shocks []Shock, p *KeywordParams, h int) []float64 {
 	out := make([]float64, h)
-	x := st.cur
 	for k := range out {
-		t := st.head + k
-		out[k] = n * x.i
-		x, _ = st.step(x, t, epsAt(shocks, t))
+		out[k] = epsAt(shocks, st.head+k)
 	}
+	raw := newKernel(p, -1)
+	raw.run(st.cur, st.head, out, out)
 	return out
 }
 
@@ -518,12 +462,13 @@ func (s *Stream) tailSSEFrom(t0 int) float64 {
 func (s *Stream) tailSSEWith(shocks []Shock, t0 int) float64 {
 	st := s.inc
 	x := st.states[t0%st.w]
+	var e, out [1]float64
 	sse := 0.0
 	for t := t0; t < st.head; t++ {
-		var out float64
-		x, out = st.step(x, t, epsAt(shocks, t))
+		e[0] = epsAt(shocks, t)
+		x = st.run(x, t, e[:], out[:])
 		if norm := st.normObs(s.seq[t]); !math.IsNaN(norm) {
-			d := norm - out
+			d := norm - out[0]
 			sse += d * d
 		}
 	}
@@ -550,10 +495,11 @@ func (s *Stream) acceptTailShock(cand Shock, t0 int, tailResid []float64, muQ, s
 	// before t0, re-simulated after.
 	residWith := append([]float64(nil), tailResid...)
 	x := st.states[t0%st.w]
+	var e, out [1]float64
 	for t := t0; t < n; t++ {
-		var out float64
-		x, out = st.step(x, t, epsAt(with, t))
-		residWith[t-lo] = st.normObs(s.seq[t]) - out
+		e[0] = epsAt(with, t)
+		x = st.run(x, t, e[:], out[:])
+		residWith[t-lo] = st.normObs(s.seq[t]) - out[0]
 	}
 	costWith := mdl.GaussianCostFixed(residWith, muQ, sigma2Q) + costShockTensor(with, 1, 1, n)
 	return costWith < costWithout-1e-9

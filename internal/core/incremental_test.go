@@ -20,10 +20,10 @@ func fullStrengths(s Shock, n int, val float64) Shock {
 }
 
 // TestIncrementalStepMatchesSimulate pins the bit-identity contract of the
-// incremental stepper: replaying a sequence tick-by-tick through incState
-// must produce exactly the bits SimulateInto's clean-ε fast path produces
-// for the same parameters and shock set — growth split, renormalisation
-// skip and ε accumulation order included.
+// incremental path: replaying a sequence tick-by-tick through incState
+// must produce exactly the bits SimulateInto produces for the same
+// parameters and shock set — growth onset, normalised N and ε
+// accumulation order included.
 func TestIncrementalStepMatchesSimulate(t *testing.T) {
 	const n, w = 300, 64
 	cases := []struct {

@@ -370,105 +370,8 @@ func SimulateInto(dst []float64, p *KeywordParams, n int, eps []float64, growthR
 		dst = make([]float64, n)
 	}
 	out := dst[:n]
-	i := clamp01(p.I0)
-	s := 1 - i
-	v := 0.0
-	eta := p.Eta0
-	if growthRate >= 0 {
-		eta = growthRate
-	}
-	// The fractions are self-containing (clamp01 + renormalisation), so the
-	// only values that can leak a non-finite or negative count into the
-	// output are the population scale, the growth rate, and the shock
-	// profile. Sanitise them here so an optimiser probing a degenerate
-	// parameter vector gets a finite (merely terrible) cost back.
-	N := p.N
-	if math.IsNaN(N) || math.IsInf(N, 0) || N < 0 {
-		N = 0
-	}
-	if math.IsNaN(eta) || math.IsInf(eta, 0) {
-		eta = 0
-	}
-	// The per-tick body is the hottest loop in the repository (every LM
-	// residual evaluation runs it n times), so the sanitisation branches
-	// are hoisted out of it: ε is scanned once up front, and the growth
-	// factor — constant on either side of the onset tick — is applied by
-	// splitting the loop at t_η instead of re-testing per tick. Multiplying
-	// by (1+0) == 1.0 is exact, so the no-growth phase may drop the factor
-	// entirely; the fast path is bit-identical to the general loop below,
-	// which remains for nil or non-finite ε (hotpath_test.go pins this).
-	epsClean := eps != nil
-	for t := 0; epsClean && t < n; t++ {
-		if e := eps[t]; math.IsNaN(e) || math.IsInf(e, 0) {
-			epsClean = false
-		}
-	}
-	if epsClean {
-		gStart := n // first tick with the growth factor active
-		if p.TEta != NoGrowth {
-			gStart = p.TEta
-			if gStart < 0 {
-				gStart = 0
-			}
-			if gStart > n {
-				gStart = n
-			}
-		}
-		for t := 0; t < gStart; t++ {
-			out[t] = N * i
-			infect := p.Beta * s * eps[t] * i
-			lose := p.Delta * i
-			wake := p.Gamma * v
-			s = clamp01(s - infect + wake)
-			i = clamp01(i + infect - lose)
-			v = clamp01(v + lose - wake)
-			// tot == 1 exactly is common once the dynamics settle, and
-			// x/1.0 == x bitwise, so the three divisions are skippable.
-			if tot := s + i + v; tot > 0 && tot != 1 {
-				s, i, v = s/tot, i/tot, v/tot
-			}
-		}
-		onePlusEta := 1 + eta
-		for t := gStart; t < n; t++ {
-			out[t] = N * i
-			infect := p.Beta * s * eps[t] * i * onePlusEta
-			lose := p.Delta * i
-			wake := p.Gamma * v
-			s = clamp01(s - infect + wake)
-			i = clamp01(i + infect - lose)
-			v = clamp01(v + lose - wake)
-			// tot == 1 exactly is common once the dynamics settle, and
-			// x/1.0 == x bitwise, so the three divisions are skippable.
-			if tot := s + i + v; tot > 0 && tot != 1 {
-				s, i, v = s/tot, i/tot, v/tot
-			}
-		}
-		return out
-	}
-	for t := 0; t < n; t++ {
-		out[t] = N * i
-		e := 1.0
-		if eps != nil {
-			e = eps[t]
-			if math.IsNaN(e) || math.IsInf(e, 0) {
-				e = 1
-			}
-		}
-		g := 0.0
-		if p.TEta != NoGrowth && t >= p.TEta {
-			g = eta
-		}
-		infect := p.Beta * s * e * i * (1 + g)
-		lose := p.Delta * i
-		wake := p.Gamma * v
-		s = clamp01(s - infect + wake)
-		i = clamp01(i + infect - lose)
-		v = clamp01(v + lose - wake)
-		tot := s + i + v
-		if tot > 0 {
-			s, i, v = s/tot, i/tot, v/tot
-		}
-	}
+	k := newKernel(p, growthRate)
+	k.run(k.x0, 0, eps, out)
 	return out
 }
 

@@ -129,44 +129,18 @@ func simulateSens(dst, jacDst, scratch []float64, p *KeywordParams, n int,
 	dI := scratch[np : 2*np]
 	dV := scratch[2*np : 3*np]
 
-	// Input sanitisation mirrors SimulateInto exactly; the *Valid flags
-	// record whether the parameter passed through unchanged (subgradient 1)
-	// or was replaced (subgradient 0).
-	i := clamp01(p.I0)
-	s := 1 - i
-	v := 0.0
-	i0Valid := p.I0 >= 0 && p.I0 <= 1
-	eta := p.Eta0
+	// The inputs come sanitised from newKernel, the one sanitiser; the
+	// *Valid flags record whether it passed a parameter through unchanged
+	// (subgradient 1) or replaced it (subgradient 0). A replaced N or I0
+	// differs from the raw value, and a replaced η₀ leaves a growth factor
+	// other than 1+η₀.
+	k := newKernel(p, growthRate)
+	N, onePlusEta, gStart := k.N, k.onePlusEta, k.gStart
+	s, i, v := k.x0.s, k.x0.i, k.x0.v
+	nValid := N == p.N
+	i0Valid := i == p.I0
 	etaOwn := growthRate < 0 // η₀ lane live only when p's own rate is in use
-	if growthRate >= 0 {
-		eta = growthRate
-	}
-	N := p.N
-	nValid := !(math.IsNaN(N) || math.IsInf(N, 0) || N < 0)
-	if !nValid {
-		N = 0
-	}
-	etaValid := !(math.IsNaN(eta) || math.IsInf(eta, 0))
-	if !etaValid {
-		eta = 0
-	}
-	onePlusEta := 1 + eta
-	gStart := n
-	if p.TEta != NoGrowth {
-		gStart = p.TEta
-		if gStart < 0 {
-			gStart = 0
-		}
-		if gStart > n {
-			gStart = n
-		}
-	}
-	epsClean := eps != nil
-	for t := 0; epsClean && t < n; t++ {
-		if e := eps[t]; math.IsNaN(e) || math.IsInf(e, 0) {
-			epsClean = false
-		}
-	}
+	etaValid := onePlusEta == 1+p.Eta0
 
 	// Lane initial state: only the i0 lane starts non-zero.
 	for j := range dS {
@@ -192,14 +166,14 @@ func simulateSens(dst, jacDst, scratch []float64, p *KeywordParams, n int,
 	if tail == 5 {
 		dS4, dI4 = dS[4], dI[4]
 	}
-	beta, delta, gamma := p.Beta, p.Delta, p.Gamma
+	beta, delta, gamma := k.beta, k.delta, k.gamma
 
 	for t := 0; t < n; t++ {
 		e := 1.0
 		eValid := true // ε(t) passed through unsanitised (strength lanes live)
 		if eps != nil {
 			e = eps[t]
-			if !epsClean && (math.IsNaN(e) || math.IsInf(e, 0)) {
+			if math.IsNaN(e) || math.IsInf(e, 0) {
 				e = 1
 				eValid = false
 			}
@@ -208,9 +182,10 @@ func simulateSens(dst, jacDst, scratch []float64, p *KeywordParams, n int,
 
 		out[t] = N * i
 
-		// Value step — the exact op sequence of SimulateInto's general loop
-		// (the fast path's skipped ×1.0 growth factor and skipped ÷1.0
-		// renormalisation are bit-identical, see hotpath_test.go).
+		// Value step — the kernel's, kept inline because the lanes below
+		// need the pre-clamp values s1, i1, v1. It multiplies by the
+		// growth factor on every tick, where run skips the ×1.0 before the
+		// onset; the bits are the same.
 		factor := 1.0
 		if growth {
 			factor = onePlusEta

@@ -765,7 +765,7 @@ func (s *Stream) Forecast(h int) []float64 {
 		if h <= 0 {
 			return nil
 		}
-		return s.inc.forecast(s.result.Shocks, s.result.Params.N, h)
+		return s.inc.forecast(s.result.Shocks, &s.result.Params, h)
 	}
 	m := s.Model()
 	if m == nil {
