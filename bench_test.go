@@ -556,11 +556,12 @@ func BenchmarkStreamForecast(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamAppendBatch is the pre-incremental baseline: the same
-// single-tick appends on a batch-mode stream, which pays a full
-// warm-started refit every RefitEvery appends. Kept at a much smaller n so
-// the refit cycle stays benchmarkable; the per-op contrast with
-// BenchmarkStreamAppend (amortised refit vs O(tail)) is the point.
+// BenchmarkStreamAppendBatch is the refit-cadence baseline: the same
+// single-tick appends under the RefitBatch debt policy, which steps the
+// checkpoint per tick and pays a full warm-started refit every RefitEvery
+// appends. Kept at a much smaller n so the refit cycle stays
+// benchmarkable; the per-op contrast with BenchmarkStreamAppend (amortised
+// refit vs O(tail)) is the point.
 func BenchmarkStreamAppendBatch(b *testing.B) {
 	const n = 640
 	series := benchStreamSeries(n + 1)

@@ -89,7 +89,9 @@ func main() {
 	maxModels := flag.Int("max-models", registry.DefaultMaxLoaded,
 		"models kept in memory at once (persisted models reload on demand)")
 	streamMode := flag.String("stream-mode", "batch",
-		"default maintenance mode for new streams: batch|incremental "+
+		"default debt policy for new streams: batch (refit every "+
+			"-refit-every ticks) or incremental (tail scan, debt-scheduled "+
+			"refits); every fitted stream steps its checkpoint per tick "+
 			"(per-append ?mode= overrides)")
 	streamRetention := flag.Int("stream-retention", 0,
 		"retention horizon in ticks for new streams: older ticks fold into "+

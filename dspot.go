@@ -222,18 +222,20 @@ func LoadModel(path string) (*Model, error) { return dataset.LoadModel(path) }
 func SaveModel(path string, m *Model) error { return dataset.SaveModel(path, m) }
 
 // Streaming: online series grow one tick at a time; Stream keeps a model
-// warm. Two maintenance modes exist: RefitBatch re-runs the warm-started
-// batch fitter on a tick cadence, RefitIncremental folds each tick into the
-// model in O(TailWindow) time and amortises the full refit behind a debt
-// counter (see Stream.Append).
+// warm. A fitted stream folds each tick into the model by stepping a
+// checkpointed simulation and amortises the warm-started batch refit
+// behind a refit-debt counter; the RefitMode is the debt policy. RefitBatch
+// refits on a tick cadence, RefitIncremental also re-scans the tail for new
+// shocks in O(TailWindow) time and refits when the surcharged debt crosses
+// its limit (see Stream.Append).
 
 // Stream maintains a Δ-SPOT model over an append-only series.
 type Stream = core.Stream
 
-// RefitMode selects a stream's maintenance strategy.
+// RefitMode selects a stream's debt policy.
 type RefitMode = core.RefitMode
 
-// Stream maintenance modes.
+// Stream debt policies.
 const (
 	RefitBatch       = core.RefitBatch
 	RefitIncremental = core.RefitIncremental
@@ -244,15 +246,17 @@ const (
 // consolidating full refit. Zero fields select defaults.
 type IncrementalConfig = core.IncrementalConfig
 
-// NewStream returns a batch-mode stream that refits after every refitEvery
-// appended ticks (<= 0 selects the default of 26).
+// NewStream returns a stream under the RefitBatch debt policy: it refits
+// after every refitEvery appended ticks (<= 0 selects the default of 26)
+// and forecasts from its checkpoint in between.
 func NewStream(opts Options, refitEvery int) *Stream {
 	return core.NewStream(opts, refitEvery)
 }
 
-// NewIncrementalStream returns a stream maintained incrementally: O(tail)
-// work per appended tick, with full refits amortised behind the debt
-// counter (refitEvery becomes the debt unit and retry-backoff spacing).
+// NewIncrementalStream returns a stream under the RefitIncremental debt
+// policy: O(tail) work per appended tick, with full refits amortised behind
+// the surcharged debt counter (refitEvery becomes the debt unit and
+// retry-backoff spacing).
 func NewIncrementalStream(opts Options, refitEvery int, cfg IncrementalConfig) *Stream {
 	return core.NewIncrementalStream(opts, refitEvery, cfg)
 }

@@ -13,9 +13,10 @@ package core
 // evictions (Head = EvictedTicks + Len), so positioned appends and
 // duplicate detection stay correct forever.
 //
-// This file owns every growth path of s.seq — appendTick/appendBulk are the
-// only places allowed to call append(s.seq, ...), so no code path can grow
-// the sequence behind the retention horizon's back. CI greps for stray
+// This file owns every growth path of s.seq — appendTick (a fitted stream,
+// one tick at a time) and appendBulk (before the first fit) are the only
+// places allowed to call append(s.seq, ...), so no code path can grow the
+// sequence behind the retention horizon's back. CI greps for stray
 // append sites outside this file.
 
 // minRetention is the smallest accepted retention horizon: below it there
@@ -91,9 +92,6 @@ func (s *Stream) evictFront(k int) {
 	s.seq = rest
 	s.evicted += int64(k)
 
-	if s.fitted {
-		s.rebaseResult(k)
-	}
 	if s.lastScan >= 0 {
 		s.lastScan -= k
 		if s.lastScan < 0 {
@@ -101,6 +99,7 @@ func (s *Stream) evictFront(k int) {
 		}
 	}
 	if s.inc != nil {
+		s.rebaseResult(k)
 		// The simulation rings index ticks absolutely; rebuild them on the
 		// shifted sequence exactly the way RestoreStream would, so a snapshot
 		// taken after an eviction restores bit-identically to the live stream.
@@ -111,31 +110,22 @@ func (s *Stream) evictFront(k int) {
 // rebaseResult shifts every tick-indexed fit quantity k ticks left:
 // shocks are rebased (dropping ones that slid out entirely, and their
 // projected-strength entries with them) and the growth onset clamps to the
-// window head once the growth phase is already active.
+// window head once the growth phase is already active. newIncState keeps
+// inc.future at least one entry per shock, so future[i] always exists.
 func (s *Stream) rebaseResult(k int) {
-	var origFuture []float64
-	if s.inc != nil {
-		origFuture = s.inc.future
-	}
+	future := s.inc.future
 	kept := make([]Shock, 0, len(s.result.Shocks))
-	var keptFuture []float64
-	if origFuture != nil {
-		keptFuture = make([]float64, 0, len(origFuture))
-	}
+	keptFuture := make([]float64, 0, len(s.result.Shocks))
 	for i := range s.result.Shocks {
 		sh := s.result.Shocks[i]
 		if !rebaseShock(&sh, k, len(s.seq)) {
 			continue
 		}
 		kept = append(kept, sh)
-		if origFuture != nil && i < len(origFuture) {
-			keptFuture = append(keptFuture, origFuture[i])
-		}
+		keptFuture = append(keptFuture, future[i])
 	}
 	s.result.Shocks = kept
-	if s.inc != nil {
-		s.inc.future = keptFuture
-	}
+	s.inc.future = keptFuture
 	p := &s.result.Params
 	if p.TEta != NoGrowth {
 		p.TEta -= k

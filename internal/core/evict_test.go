@@ -247,8 +247,8 @@ func TestRefitJitterStaggersCadence(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.SetRefitJitter(0.8)
-	if s.cadenceJitter() != 4 {
-		t.Fatalf("cadenceJitter = %d, want 4", s.cadenceJitter())
+	if s.debtJitter() != 4 {
+		t.Fatalf("debtJitter = %v, want 4", s.debtJitter())
 	}
 	refitAt := -1
 	for i, v := range full[200:220] {
@@ -266,7 +266,7 @@ func TestRefitJitterStaggersCadence(t *testing.T) {
 	}
 
 	s.SetRefitJitter(1.5) // out of range: resets to exact cadence
-	if s.jitterFrac != 0 || s.cadenceJitter() != 0 {
+	if s.jitterFrac != 0 || s.debtJitter() != 0 {
 		t.Fatal("out-of-range jitter not reset")
 	}
 }

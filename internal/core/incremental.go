@@ -9,34 +9,37 @@ import (
 	"dspot/internal/tensor"
 )
 
-// Incremental maintenance: a Stream in RefitIncremental mode does O(tail)
-// work per appended tick instead of re-entering the batch fitter. The model
+// Incremental maintenance: a fitted Stream does O(1) to O(tail) work per
+// appended tick instead of re-entering the batch fitter. The model
 // simulation is extended one tick at a time from a checkpointed SIV state,
-// residuals over a sliding tail window are re-examined for new shocks (and
-// for stale occurrence strengths of known shocks), and the expensive batch
-// refit is amortised behind a refit-debt counter: cheap maintenance accrues
-// debt, structural changes accrue more, and only when the debt crosses a
-// threshold does a full ContinueGlobalSequence run. This is the D-Tracker
-// posture — model the stream incrementally, treat batch refits as rare
-// consolidation — and what makes per-append latency independent of the
-// stream length.
+// and the expensive batch refit is amortised behind a refit-debt counter:
+// only when the debt crosses a threshold does a full
+// ContinueGlobalSequence run. This is the D-Tracker posture — model the
+// stream incrementally, treat batch refits as consolidation — and what
+// makes per-append latency independent of the stream length. The RefitMode
+// is the debt policy: under RefitIncremental, residuals over a sliding
+// tail window are also re-examined for new shocks (and for stale
+// occurrence strengths of known shocks), and structural changes accrue
+// extra debt.
 
-// RefitMode selects how a Stream maintains its model as ticks arrive.
+// RefitMode selects a Stream's debt policy: how appended ticks accrue refit
+// debt and where the consolidating batch refit fires.
 type RefitMode int
 
 const (
-	// RefitBatch re-enters the warm-start batch fitter
-	// (ContinueGlobalSequence) every RefitEvery appended ticks. Maximally
-	// accurate, but each refit costs O(n) — per-append cost grows with the
-	// stream, which is unusable for long-lived high-rate streams.
+	// RefitBatch is the refit cadence: each appended tick adds one unit of
+	// debt against a limit of RefitEvery, so the warm-start batch fitter
+	// (ContinueGlobalSequence) re-runs every RefitEvery ticks. The tail is
+	// not scanned; each refit costs O(n).
 	RefitBatch RefitMode = iota
-	// RefitIncremental extends the model O(TailWindow) per appended tick and
-	// schedules a full batch refit only when the accumulated refit debt
-	// crosses the debt limit (or on demand via RefitNow).
+	// RefitIncremental re-scans the tail O(TailWindow) per appended tick and
+	// schedules a full batch refit only when the accumulated refit debt —
+	// surcharged for structural events — crosses the debt limit (or on
+	// demand via RefitNow).
 	RefitIncremental
 )
 
-// String returns the wire name of the mode ("batch" / "incremental").
+// String returns the wire name of the policy ("batch" / "incremental").
 func (m RefitMode) String() string {
 	if m == RefitIncremental {
 		return "incremental"
@@ -60,14 +63,16 @@ func ParseRefitMode(s string) (RefitMode, bool) {
 // IncrementalConfig tunes the incremental maintenance path. The zero value
 // selects defaults.
 type IncrementalConfig struct {
-	// TailWindow is how many trailing ticks the incremental path re-examines
-	// for new shocks and stale strengths (default 104). It bounds the
-	// per-append work: every maintenance operation is O(TailWindow).
+	// TailWindow sizes every fitted stream's checkpoint ring, and is how
+	// many trailing ticks RefitIncremental re-examines for new shocks and
+	// stale strengths (default 104). It bounds the per-append work: every
+	// maintenance operation is O(TailWindow).
 	TailWindow int
-	// DebtLimit is the refit-debt level at which a full batch refit fires.
-	// Zero selects 8×RefitEvery (at least 2×TailWindow). Each appended tick
-	// adds one unit of debt; structural events (an accepted tail shock, a
-	// value beyond the fitted normalisation scale) add more, pulling the
+	// DebtLimit is the refit-debt level at which a RefitIncremental full
+	// batch refit fires (RefitBatch's limit is RefitEvery). Zero selects
+	// 8×RefitEvery (at least 2×TailWindow). Each appended tick adds one
+	// unit of debt; structural events (an accepted tail shock, a value
+	// beyond the fitted normalisation scale) add more, pulling the
 	// consolidating refit closer exactly when the model drifted.
 	DebtLimit float64
 }
@@ -97,8 +102,8 @@ const (
 	debtStaleScale = 4
 )
 
-// incState is the derived per-stream state of the incremental path. It is
-// never serialised: RestoreStream rebuilds it deterministically from the
+// incState is the derived checkpoint of a fitted stream. It is never
+// serialised: RestoreStream rebuilds it deterministically from the
 // sequence and the fit result, and the rebuild is bit-identical to having
 // maintained it live (pinned by TestIncrementalRestoreBitIdentical).
 type incState struct {

@@ -434,9 +434,13 @@ func TestStreamModeAndCadenceSetters(t *testing.T) {
 	if s.Debt() != 0 {
 		t.Fatal("RefitNow must clear pending debt")
 	}
+	if _, err := s.Append(full[150:155]...); err != nil {
+		t.Fatal(err)
+	}
 	s.SetMode(RefitBatch)
-	if s.inc != nil || s.Debt() != 0 {
-		t.Fatal("SetMode(RefitBatch) must drop the incremental state")
+	if s.inc == nil || s.Debt() != 0 || s.DebtLimit() != float64(s.RefitEvery()) {
+		t.Fatalf("SetMode(RefitBatch) must keep the checkpoint, clear debt and limit it at RefitEvery: inc %v debt %v limit %v",
+			s.inc != nil, s.Debt(), s.DebtLimit())
 	}
 
 	if _, ok := ParseRefitMode("incremental"); !ok {

@@ -49,25 +49,27 @@ func ContinueGlobalSequence(seq []float64, keyword int, prev GlobalFitResult, op
 		st.params.N = prev.Params.N / scale // back into normalised space
 	}
 	// Carry the previous shocks into the longer window: each cyclic shock
-	// gains occurrences, seeded with its historical mean strength. The
-	// strengths transfer *verbatim* even when the normalisation scale
-	// changed: output = N·i(t) and the s/i/v fraction dynamics never see N,
-	// so a rescaled window is absorbed entirely by N (divided below) while
-	// β, δ, γ, i0, η and the shock strengths are dimensionless
-	// (TestWarmStartStrengthsScaleInvariant pins this — rescaling them by
-	// prev.Scale/scale demonstrably worsens the warm start).
+	// gains occurrences, seeded with its projected future strength — the
+	// projection the forecaster and a stream's checkpoint also give an
+	// occurrence its fit never saw. The strengths transfer *verbatim* even
+	// when the normalisation scale changed: output = N·i(t) and the s/i/v
+	// fraction dynamics never see N, so a rescaled window is absorbed
+	// entirely by N (divided below) while β, δ, γ, i0, η and the shock
+	// strengths are dimensionless (TestWarmStartStrengthsScaleInvariant pins
+	// this — rescaling them by prev.Scale/scale demonstrably worsens the
+	// warm start).
 	for _, s := range prev.Shocks {
 		if s.Start >= n || s.Width <= 0 {
 			continue
 		}
 		occ := s.Occurrences(n)
 		strengths := make([]float64, occ)
-		mean := s.MeanStrength()
+		future := futureStrength(&s)
 		for m := range strengths {
 			if m < len(s.Strength) {
 				strengths[m] = s.Strength[m]
 			} else {
-				strengths[m] = mean
+				strengths[m] = future
 			}
 		}
 		s.Strength = strengths
@@ -166,31 +168,31 @@ func (g *gfit) refineStrengthsAll() {
 }
 
 // Stream maintains a Δ-SPOT single-sequence model over an append-only
-// series. In RefitBatch mode it re-enters the warm-start batch fitter every
-// RefitEvery appended ticks; in RefitIncremental mode it maintains the
-// model in O(TailWindow) per tick and amortises batch refits behind a
-// refit-debt counter (see incremental.go).
+// series. Once fitted, it folds every appended tick into the model by
+// stepping the SIV kernel from a checkpoint (incremental.go) and amortises
+// the full warm-start refit behind a refit-debt counter. The RefitMode is
+// the debt policy: RefitBatch charges one unit per tick against a limit of
+// RefitEvery, the classic refit cadence; RefitIncremental also re-scans the
+// tail for new shocks and charges structural events extra.
 type Stream struct {
 	opts       FitOptions
 	refitEvery int
 	mode       RefitMode
 	cfg        IncrementalConfig
 
-	seq        []float64
-	fitted     bool
-	result     GlobalFitResult
-	sinceRefit int
+	seq    []float64
+	result GlobalFitResult
 
-	// Incremental-maintenance state (RefitIncremental only). inc is derived
-	// — rebuilt from seq+result on restore — while debt and lastScan are
+	// Maintenance state. inc is derived — nil until the first fit, rebuilt
+	// from seq+result on refit and restore — while debt and lastScan are
 	// decision state that must persist for bit-identical continuation.
 	debt     float64
 	lastScan int
 	inc      *incState
 
-	// Refit retry backoff (both modes): failures counts consecutive refit
-	// errors, coolOff is how many more appended ticks to wait before the
-	// next attempt. Cancelled refits are exempt (retried on next trigger).
+	// Refit retry backoff: failures counts consecutive refit errors,
+	// coolOff is how many more appended ticks to wait before the next
+	// attempt. Cancelled refits are exempt (retried on next trigger).
 	failures int
 	coolOff  int
 
@@ -228,11 +230,10 @@ type RefitGate interface {
 // it). Runtime wiring, not part of the serialisable state.
 func (s *Stream) SetRefitGate(g RefitGate) { s.gate = g }
 
-// SetRefitJitter sets the deterministic trigger-jitter fraction in [0,1):
-// batch-mode refits trigger at RefitEvery + frac·RefitEvery/2 ticks and
-// debt-mode refits at DebtLimit·(1 + frac/4), so a fleet of streams created
-// (or restored) together consolidates staggered instead of in lockstep.
-// Out-of-range values reset to 0 (exact cadence, the historical behaviour).
+// SetRefitJitter sets the deterministic trigger-jitter fraction in [0,1)
+// that debtJitter scales, so a fleet of streams created (or restored)
+// together consolidates staggered instead of in lockstep. Out-of-range
+// values reset to 0 (exact cadence, the historical behaviour).
 func (s *Stream) SetRefitJitter(frac float64) {
 	if frac < 0 || frac >= 1 || math.IsNaN(frac) {
 		frac = 0
@@ -240,13 +241,15 @@ func (s *Stream) SetRefitJitter(frac float64) {
 	s.jitterFrac = frac
 }
 
-// cadenceJitter is the batch-mode trigger offset in ticks.
-func (s *Stream) cadenceJitter() int {
-	return int(s.jitterFrac * float64(s.refitEvery) / 2)
-}
-
-// debtJitter is the incremental-mode trigger offset in debt units.
+// debtJitter is the refit trigger offset in debt units: ⌊frac·RefitEvery/2⌋
+// whole ticks under RefitBatch, frac·DebtLimit/4 under RefitIncremental.
+// The batch offset must not shrink: a persisted tick log holds no record
+// that attempted a refit, so it runs up to the trigger it was written under
+// and must replay without crossing an earlier one.
 func (s *Stream) debtJitter() float64 {
+	if s.mode == RefitBatch {
+		return float64(int(s.jitterFrac * float64(s.refitEvery) / 2))
+	}
 	return s.jitterFrac * s.DebtLimit() / 4
 }
 
@@ -261,8 +264,9 @@ func (s *Stream) GapTicks() int64 { return s.gapFilled }
 // DeferredRefits returns how many due refits the gate pushed back.
 func (s *Stream) DeferredRefits() int64 { return s.deferred }
 
-// NewStream returns a batch-mode stream that refits after every refitEvery
-// appended ticks (default 26). The fitting options apply to every (re)fit.
+// NewStream returns a stream under the RefitBatch debt policy: once fitted,
+// it refits after every refitEvery appended ticks (default 26). The fitting
+// options apply to every (re)fit.
 func NewStream(opts FitOptions, refitEvery int) *Stream {
 	if refitEvery <= 0 {
 		refitEvery = 26
@@ -275,11 +279,11 @@ func NewStream(opts FitOptions, refitEvery int) *Stream {
 	}
 }
 
-// NewIncrementalStream returns a stream in RefitIncremental mode: appends do
-// O(cfg.TailWindow) work per tick and a full batch refit fires only when
-// the accumulated refit debt crosses the limit (or via RefitNow). refitEvery
-// keeps its batch meaning as the debt unit (default 26); the zero cfg
-// selects defaults.
+// NewIncrementalStream returns a stream under the RefitIncremental debt
+// policy: appends do O(cfg.TailWindow) work per tick and a full batch refit
+// fires only when the accumulated refit debt crosses the limit (or via
+// RefitNow). refitEvery is the debt unit (default 26); the zero cfg selects
+// defaults.
 func NewIncrementalStream(opts FitOptions, refitEvery int, cfg IncrementalConfig) *Stream {
 	s := NewStream(opts, refitEvery)
 	s.mode = RefitIncremental
@@ -287,11 +291,11 @@ func NewIncrementalStream(opts FitOptions, refitEvery int, cfg IncrementalConfig
 	return s
 }
 
-// Mode returns the stream's maintenance mode.
+// Mode returns the stream's debt policy.
 func (s *Stream) Mode() RefitMode { return s.mode }
 
-// RefitEvery returns the effective refit cadence (batch mode) / debt unit
-// (incremental mode).
+// RefitEvery returns the effective refit cadence (the RefitBatch debt
+// limit) / debt unit (RefitIncremental).
 func (s *Stream) RefitEvery() int { return s.refitEvery }
 
 // SetRefitEvery changes the refit cadence; non-positive values are ignored.
@@ -301,10 +305,9 @@ func (s *Stream) SetRefitEvery(v int) {
 	}
 }
 
-// SetMode switches the maintenance mode in place. Switching to
-// RefitIncremental on a fitted stream pays one O(n) replay to build the
-// incremental state; switching back to RefitBatch drops it. Pending refit
-// debt is cleared either way — the new mode starts from a clean slate.
+// SetMode switches the debt policy in place, in O(1): the checkpoint is
+// kept, and pending refit debt and the tail-scan position are cleared, so
+// the new policy starts from a clean slate.
 func (s *Stream) SetMode(m RefitMode) {
 	if m == s.mode {
 		return
@@ -312,20 +315,18 @@ func (s *Stream) SetMode(m RefitMode) {
 	s.mode = m
 	s.debt = 0
 	s.lastScan = -1
-	if m == RefitIncremental && s.fitted {
-		s.inc = newIncState(s.seq, &s.result, nil, s.cfg.TailWindow)
-	} else {
-		s.inc = nil
-	}
 }
 
-// Debt returns the accumulated refit debt (always 0 in batch mode).
+// Debt returns the accumulated refit debt.
 func (s *Stream) Debt() float64 { return s.debt }
 
 // DebtLimit returns the effective debt threshold at which a full batch
-// refit fires: the configured limit, or 8×RefitEvery (at least
-// 2×TailWindow) when unset.
+// refit fires: RefitEvery under RefitBatch; under RefitIncremental the
+// configured limit, or 8×RefitEvery (at least 2×TailWindow) when unset.
 func (s *Stream) DebtLimit() float64 {
+	if s.mode == RefitBatch {
+		return float64(s.refitEvery)
+	}
 	if s.cfg.DebtLimit > 0 {
 		return s.cfg.DebtLimit
 	}
@@ -343,18 +344,18 @@ func (s *Stream) RetryIn() int { return s.coolOff }
 // Append adds observations; pass tensor.Missing for gaps. It reports
 // whether a *full* batch (re)fit happened.
 //
-// The maintenance contract depends on the mode. In RefitBatch mode the
-// first fit happens once 8 observed ticks accumulated and the warm-start
-// batch fitter re-runs every RefitEvery ticks — O(n) per refit. In
-// RefitIncremental mode every appended tick is folded into the model in
-// O(TailWindow): the ε(t) profile and the SIV simulation are extended one
-// tick from a checkpointed state, the trailing TailWindow residuals are
-// re-scanned for new shocks (discovered one-shots are strength-fitted and
-// MDL-gated in the tail window; recurring occurrences of known shocks get
-// their strength refitted in place), and each tick accrues refit debt —
-// more for structural events — until the debt crosses DebtLimit and one
-// consolidating batch refit runs (Append then returns true). RefitNow
-// forces that consolidation on demand.
+// The first fit happens once 8 observed ticks accumulated. After it, every
+// appended tick is folded into the model: the ε(t) profile and the SIV
+// simulation are extended one tick from a checkpointed state, and the tick
+// accrues one unit of refit debt until the debt crosses DebtLimit and one
+// consolidating batch refit runs (Append then returns true) — O(n) per
+// refit. Under RefitBatch that is the whole contract, and the refit fires
+// every RefitEvery ticks. Under RefitIncremental the trailing TailWindow
+// residuals are also re-scanned for new shocks (discovered one-shots are
+// strength-fitted and MDL-gated in the tail window; recurring occurrences
+// of known shocks get their strength refitted in place), all in
+// O(TailWindow), and structural events accrue extra debt. RefitNow forces
+// the consolidation on demand.
 func (s *Stream) Append(values ...float64) (refitted bool, err error) {
 	return s.AppendCtx(nil, values...)
 }
@@ -365,7 +366,7 @@ type AppendReceipt struct {
 	// Refitted reports whether a full batch (re)fit ran (Append's bool).
 	Refitted bool
 	// Deferred reports that a refit was due but the RefitGate pushed it
-	// back; the accrued debt/cadence overshoot is kept.
+	// back; the accrued debt is kept.
 	Deferred bool
 	// DroppedTicks counts duplicate/late ticks idempotently dropped.
 	DroppedTicks int
@@ -452,12 +453,11 @@ func (s *Stream) AppendAtCtx(ctx context.Context, at int64, values ...float64) (
 	if len(values) == 0 {
 		return rec, nil
 	}
-	if s.fitted && s.mode == RefitIncremental && s.inc != nil {
+	if s.inc != nil {
 		s.appendIncremental(values)
 	} else {
 		s.appendBulk(values)
 	}
-	s.sinceRefit += len(values)
 	rec.EvictedTicks = s.maybeEvict()
 	if s.coolOff > 0 {
 		s.coolOff -= len(values)
@@ -466,19 +466,12 @@ func (s *Stream) AppendAtCtx(ctx context.Context, at int64, values ...float64) (
 		}
 		s.coolOff = 0
 	}
-	switch {
-	case !s.fitted:
+	if s.inc == nil {
 		if tensor.ObservedCount(s.seq) < 8 {
 			return rec, nil
 		}
-	case s.mode == RefitIncremental:
-		if s.debt < s.DebtLimit()+s.debtJitter() {
-			return rec, nil
-		}
-	default:
-		if s.sinceRefit < s.refitEvery+s.cadenceJitter() {
-			return rec, nil
-		}
+	} else if s.debt < s.DebtLimit()+s.debtJitter() {
+		return rec, nil
 	}
 	if s.gate != nil {
 		release, ok := s.gate.TryAcquire()
@@ -494,30 +487,33 @@ func (s *Stream) AppendAtCtx(ctx context.Context, at int64, values ...float64) (
 	return rec, err
 }
 
-// appendIncremental folds new ticks into the incremental state: extend the
-// simulation per tick, accrue debt, then re-scan the tail once for new
-// structure. Invalid observations (negative / ±Inf) are treated as missing
-// here and left for the next full refit's validator to report, mirroring
-// the batch path's defer-to-refit behaviour.
+// appendIncremental folds new ticks into a fitted stream: extend the
+// simulation per tick and accrue debt, then, under RefitIncremental,
+// re-scan the tail once for new structure. Invalid observations (negative /
+// ±Inf) are treated as missing here and left for the next full refit's
+// validator to report.
 func (s *Stream) appendIncremental(values []float64) {
 	st := s.inc
+	scan := s.mode == RefitIncremental // RefitBatch: +1 debt per tick, nothing more
 	for _, v := range values {
 		s.appendTick(v)
 		st.advance(s.result.Shocks, v)
 		s.debt++
-		if st.scale > 0 && st.normObs(v) > 1 {
+		if scan && st.scale > 0 && st.normObs(v) > 1 {
 			// Observation beyond the fitted normalisation scale: the [0,1]
 			// normalisation no longer covers the data, pull the refit closer.
 			s.debt += debtStaleScale
 		}
 	}
-	s.scanTail()
+	if scan {
+		s.scanTail()
+	}
 }
 
 // refitFull runs the batch fitter (cold the first time, warm-started
 // afterwards) and commits the result. Fit into a temporary: assigning
 // s.result directly would clobber the warm-start state with the zero
-// GlobalFitResult on error while fitted stayed true, leaving
+// GlobalFitResult on error while the checkpoint stayed, leaving
 // Model()/Forecast() serving a zero-params model.
 func (s *Stream) refitFull(ctx context.Context) (bool, error) {
 	opts := s.opts
@@ -526,7 +522,7 @@ func (s *Stream) refitFull(ctx context.Context) (bool, error) {
 	}
 	var res GlobalFitResult
 	var err error
-	if !s.fitted {
+	if s.inc == nil {
 		res, err = FitGlobalSequence(s.seq, 0, opts)
 	} else {
 		res, err = ContinueGlobalSequence(s.seq, 0, s.result, opts)
@@ -539,22 +535,16 @@ func (s *Stream) refitFull(ctx context.Context) (bool, error) {
 	return true, nil
 }
 
-// commitFit installs a fresh batch fit and resets all maintenance state;
-// in incremental mode it rebuilds the derived simulation state (O(n), the
-// amortised cost the debt counter paid for).
+// commitFit installs a fresh batch fit, resets all maintenance state and
+// rebuilds the checkpoint from the fit (O(n), the amortised cost the debt
+// counter paid for).
 func (s *Stream) commitFit(res GlobalFitResult) {
 	s.result = res
-	s.fitted = true
-	s.sinceRefit = 0
 	s.debt = 0
 	s.failures = 0
 	s.coolOff = 0
 	s.lastScan = -1
-	if s.mode == RefitIncremental {
-		s.inc = newIncState(s.seq, &s.result, nil, s.cfg.TailWindow)
-	} else {
-		s.inc = nil
-	}
+	s.inc = newIncState(s.seq, &s.result, nil, s.cfg.TailWindow)
 }
 
 // noteRefitError applies the exponential retry backoff after a failed
@@ -591,38 +581,25 @@ func (s *Stream) RefitNow(ctx context.Context) error {
 func (s *Stream) Len() int { return len(s.seq) }
 
 // Ready reports whether a model has been fitted yet.
-func (s *Stream) Ready() bool { return s.fitted }
+func (s *Stream) Ready() bool { return s.inc != nil }
 
 // Model materialises the current fit as a single-keyword Model (nil when
 // not Ready). The shocks are deep-copied: callers may mutate the returned
-// model freely without corrupting the warm-start state the next incremental
-// refit builds on.
+// model freely without corrupting the warm-start state the next refit
+// builds on. Ticks spans the whole appended sequence, past the last (re)fit
+// window: the checkpoint materialises every occurrence it reaches
+// (incState.advance), so each shock carries a strength for every
+// occurrence the window holds.
 func (s *Stream) Model() *Model {
-	if !s.fitted {
+	if s.inc == nil {
 		return nil
-	}
-	shocks := CopyShocks(s.result.Shocks)
-	// Ticks spans the whole appended sequence, which can run past the last
-	// (re)fit window: a cyclic shock may owe more occurrences than the fit
-	// observed strengths for, and such a model fails Validate — which is
-	// how persisted stream snapshots taken mid-window used to be rejected
-	// on reload. Pad with the projected future strength, the same estimate
-	// the forecaster applies to unseen occurrences.
-	for i := range shocks {
-		sh := &shocks[i]
-		if occ := sh.Occurrences(len(s.seq)); occ > len(sh.Strength) {
-			future := futureStrength(sh)
-			for len(sh.Strength) < occ {
-				sh.Strength = append(sh.Strength, future)
-			}
-		}
 	}
 	return &Model{
 		Keywords:  []string{"stream"},
 		Locations: []string{"all"},
 		Ticks:     len(s.seq),
 		Global:    []KeywordParams{s.result.Params},
-		Shocks:    shocks,
+		Shocks:    CopyShocks(s.result.Shocks),
 		Scale:     []float64{s.result.Scale},
 	}
 }
@@ -656,15 +633,20 @@ type StreamState struct {
 	Seq        []float64 // appended ticks; tensor.Missing marks gaps
 	Fitted     bool
 	Result     GlobalFitResult
+
+	// SinceRefit is read, never written: snapshots from before every
+	// stream kept a checkpoint counted a batch stream's ticks since its
+	// last refit here, and RestoreStream takes a fitted one's as the
+	// RefitBatch debt.
 	SinceRefit int
 
-	// Incremental-maintenance state. Zero values are exactly what a legacy
-	// batch snapshot decodes to: RefitBatch mode with no pending debt, so
-	// old snapshots restore with their historical behaviour. The simulation
-	// rings themselves are NOT serialised — RestoreStream rebuilds them
-	// deterministically from Seq+Result, and Future pins the projected
-	// per-shock strengths so the rebuild is bit-identical to the live
-	// stream.
+	// Maintenance state. Zero values are exactly what a legacy batch
+	// snapshot decodes to: the RefitBatch policy with no pending debt but
+	// SinceRefit's, so old snapshots restore with their historical cadence.
+	// The simulation rings themselves are NOT serialised — RestoreStream
+	// rebuilds them deterministically from Seq+Result, and Future pins the
+	// projected per-shock strengths so the rebuild is bit-identical to the
+	// live stream.
 	Mode       RefitMode
 	TailWindow int
 	DebtLimit  float64
@@ -692,9 +674,8 @@ func (s *Stream) State() StreamState {
 	st := StreamState{
 		RefitEvery: s.refitEvery,
 		Seq:        append([]float64(nil), s.seq...),
-		Fitted:     s.fitted,
+		Fitted:     s.inc != nil,
 		Result:     res,
-		SinceRefit: s.sinceRefit,
 		Mode:       s.mode,
 		TailWindow: s.cfg.TailWindow,
 		DebtLimit:  s.cfg.DebtLimit,
@@ -716,19 +697,17 @@ func (s *Stream) State() StreamState {
 
 // RestoreStream reconstructs a stream from a snapshot taken with State.
 // The fitting options are supplied by the caller (they hold a func hook and
-// are not part of the serialisable state). An incremental stream replays
-// its sequence once (O(n)) to rebuild the simulation state and then
-// continues bit-identically to the stream the snapshot was taken from,
-// pending refit debt included.
+// are not part of the serialisable state). A fitted stream replays its
+// sequence once (O(n)) to rebuild the checkpoint and then continues
+// bit-identically to the stream the snapshot was taken from, pending refit
+// debt included.
 func RestoreStream(opts FitOptions, st StreamState) *Stream {
 	s := NewStream(opts, st.RefitEvery)
 	s.mode = st.Mode
 	s.cfg = IncrementalConfig{TailWindow: st.TailWindow, DebtLimit: st.DebtLimit}.withDefaults()
 	s.seq = append([]float64(nil), st.Seq...)
-	s.fitted = st.Fitted
 	s.result = st.Result
 	s.result.Shocks = CopyShocks(st.Result.Shocks)
-	s.sinceRefit = st.SinceRefit
 	s.debt = st.Debt
 	s.failures = st.Failures
 	s.coolOff = st.CoolOff
@@ -738,10 +717,11 @@ func RestoreStream(opts FitOptions, st StreamState) *Stream {
 	s.dropped = st.Dropped
 	s.gapFilled = st.GapFilled
 	s.deferred = st.Deferred
-	if s.mode == RefitIncremental && s.fitted {
+	if st.Fitted {
 		s.inc = newIncState(s.seq, &s.result, st.Future, s.cfg.TailWindow)
-	} else if s.mode != RefitIncremental {
-		s.lastScan = -1
+		if s.mode == RefitBatch {
+			s.debt += float64(st.SinceRefit) // a legacy snapshot's cadence
+		}
 	}
 	return s
 }
@@ -749,29 +729,21 @@ func RestoreStream(opts FitOptions, st StreamState) *Stream {
 // Forecast extrapolates h ticks past the stream head (nil when not Ready or
 // h <= 0).
 //
-// An incremental stream already holds the SIV state entering its head
-// tick, so it steps the recurrence h ticks on from a copy of that
-// checkpoint: O(h·#shocks) work with one allocation, re-simulating none of
-// the retained window (a tick in a projected cyclic occurrence also
-// averages that shock's strength row). Forecast is read-only — it writes
-// nothing to the stream — so concurrent Forecast calls need no lock among
-// themselves; only Append and the other mutators need excluding. The
-// result is bit-identical to Model().ForecastGlobal(0, h), which
-// re-simulates the whole window from tick 0: that stays the path of
-// batch-mode streams and is the oracle TestStreamForecastMatchesModel
+// A fitted stream already holds the SIV state entering its head tick, so
+// it steps the recurrence h ticks on from a copy of that checkpoint:
+// O(h·#shocks) work with one allocation, re-simulating none of the
+// retained window (a tick in a projected cyclic occurrence also averages
+// that shock's strength row). Forecast is read-only — it writes nothing to
+// the stream — so concurrent Forecast calls need no lock among themselves;
+// only Append and the other mutators need excluding. The result is
+// bit-identical to Model().ForecastGlobal(0, h), which re-simulates the
+// whole window from tick 0: the oracle TestStreamForecastMatchesModel
 // holds this one to.
 func (s *Stream) Forecast(h int) []float64 {
-	if s.inc != nil {
-		if h <= 0 {
-			return nil
-		}
-		return s.inc.forecast(s.result.Shocks, &s.result.Params, h)
-	}
-	m := s.Model()
-	if m == nil {
+	if s.inc == nil || h <= 0 {
 		return nil
 	}
-	return m.ForecastGlobal(0, h)
+	return s.inc.forecast(s.result.Shocks, &s.result.Params, h)
 }
 
 // fitOneStrength is the shared windowed golden fit for one occurrence. The

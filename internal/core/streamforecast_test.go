@@ -31,10 +31,16 @@ func bitsDiffer(a, b []float64) int {
 }
 
 // checkForecastOracle fails t unless s.Forecast(h) is bit-identical to the
-// batch oracle Model().ForecastGlobal(0, h) at every horizon.
+// batch oracle Model().ForecastGlobal(0, h) at every horizon. It also
+// validates the model: Model() copies the strength rows as they are, so a
+// fitted stream must itself carry a strength for every occurrence its
+// window holds.
 func checkForecastOracle(t *testing.T, what string, s *Stream) {
 	t.Helper()
 	m := s.Model()
+	if err := m.Validate(); err != nil {
+		t.Fatalf("%s: stream model fails validation: %v", what, err)
+	}
 	for _, h := range forecastHorizons {
 		got, want := s.Forecast(h), m.ForecastGlobal(0, h)
 		if k := bitsDiffer(got, want); k >= 0 {
@@ -122,7 +128,8 @@ func servebenchLikeSeries(n, width int, strength float64, phase int, seed int64)
 // each way the stream's state moves: tail-discovered shocks, cyclic shocks
 // with projected occurrences, a failed refit keeping the last good fit,
 // retention evictions, debt-triggered refits, restores from snapshots, and
-// an accepted growth phase.
+// an accepted growth phase. The batch-* scenarios run them under the
+// RefitBatch policy, whose refits fire on the tick cadence.
 func TestStreamForecastMatchesModel(t *testing.T) {
 	quiet := FitOptions{DisableGrowth: true}
 
@@ -210,6 +217,49 @@ func TestStreamForecastMatchesModel(t *testing.T) {
 		}
 		if _, run := driveForecastOracle(t, s, quiet, full, 300, 25); run.restores < 6 {
 			t.Fatalf("%d restores, want at least 6", run.restores)
+		}
+	})
+
+	t.Run("batch-restore-every-9", func(t *testing.T) {
+		s := NewStream(quiet, 8)
+		full := grammyLike(420, 44)
+		if _, err := s.Append(full[:300]...); err != nil {
+			t.Fatal(err)
+		}
+		_, run := driveForecastOracle(t, s, quiet, full, 300, 9)
+		if run.refits < 10 || run.restores < 10 || !run.cyclic {
+			t.Fatalf("want cadence refits and restores over a cyclic shock, got %+v", run)
+		}
+	})
+
+	t.Run("batch-failed-refit", func(t *testing.T) {
+		poisoned := false
+		opts := FitOptions{DisableGrowth: true, Progress: func(FitEvent) {
+			if poisoned {
+				panic("injected refit fault")
+			}
+		}}
+		s := NewStream(opts, 8)
+		full := grammyLike(420, 98)
+		if _, err := s.Append(full[:300]...); err != nil {
+			t.Fatal(err)
+		}
+		poisoned = true
+		if _, run := driveForecastOracle(t, s, opts, full, 300, 0); run.refitErrors == 0 {
+			t.Fatal("scenario had no failed refit")
+		}
+	})
+
+	t.Run("batch-evictions", func(t *testing.T) {
+		s := NewStream(quiet, 26)
+		s.SetRetention(200)
+		full := grammyLike(700, 19)
+		if _, err := s.Append(full[:300]...); err != nil {
+			t.Fatal(err)
+		}
+		s, run := driveForecastOracle(t, s, quiet, full, 300, 0)
+		if s.EvictedTicks() < 400 || run.refits < 10 {
+			t.Fatalf("only %d ticks evicted and %d refits", s.EvictedTicks(), run.refits)
 		}
 	})
 

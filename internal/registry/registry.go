@@ -77,13 +77,15 @@ type Options struct {
 	// RefitEvery is the default stream refit cadence in ticks (0 selects
 	// core.NewStream's default).
 	RefitEvery int
-	// StreamMode is the default maintenance mode for new streams:
-	// "incremental" for O(tail) per-tick maintenance, anything else (and "")
-	// for classic batch refits. Per-append options override it.
+	// StreamMode is the default debt policy for new streams: "incremental"
+	// re-scans the tail per tick and refits when the surcharged debt
+	// crosses its limit, anything else (and "") refits every RefitEvery
+	// ticks. Every fitted stream steps its checkpoint per tick either way.
+	// Per-append options override it.
 	StreamMode string
-	// StreamIncremental tunes incremental maintenance (tail window, debt
-	// limit) for streams created in incremental mode; zero fields select the
-	// core defaults.
+	// StreamIncremental tunes stream maintenance: its tail window sizes
+	// every stream's checkpoint ring, and its debt limit applies under the
+	// incremental policy. Zero fields select the core defaults.
 	StreamIncremental core.IncrementalConfig
 	// StreamRetention, when positive, bounds every stream to its newest N
 	// ticks: older ticks are evicted and folded into the checkpointed fit

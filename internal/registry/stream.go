@@ -42,8 +42,10 @@ type stream struct {
 }
 
 // StreamStatus is the client-visible state of a stream, including the
-// effective maintenance configuration (mode and cadence) so callers can tell
-// whether a requested change actually took effect.
+// effective maintenance configuration (debt policy and cadence) so callers
+// can tell whether a requested change actually took effect. Debt and
+// DebtLimit say when the next consolidating refit fires, under either
+// policy.
 type StreamStatus struct {
 	ID         string  `json:"id"`
 	Len        int     `json:"len"`
@@ -71,8 +73,8 @@ type StreamStatus struct {
 
 // AppendOptions carries per-append stream configuration. Zero values mean
 // "leave as is": a positive RefitEvery (re)sets the cadence — on existing
-// streams too, not only at creation — a non-empty Mode switches the
-// maintenance mode ("batch" or "incremental"), and a positive Retention
+// streams too, not only at creation — a non-empty Mode switches the debt
+// policy ("batch" or "incremental") in O(1), and a positive Retention
 // (re)bounds the stream's sliding window. AtSet positions the append at
 // absolute tick index At: the overlap with already-ingested ticks is
 // dropped idempotently and a forward gap is bridged with missing ticks
@@ -86,16 +88,17 @@ type AppendOptions struct {
 }
 
 // streamJSON is the persisted snapshot. JSON cannot carry NaN, so the
-// sequence is encoded with null marking missing ticks. The incremental
+// sequence is encoded with null marking missing ticks. The maintenance
 // fields are omitted when zero, which is also how legacy batch snapshots —
 // written before incremental maintenance existed — decode: mode "" maps to
-// RefitBatch with no pending debt, preserving their historical behaviour.
+// the RefitBatch policy, and since_refit, which only such snapshots carry,
+// becomes its pending debt, preserving their historical cadence.
 type streamJSON struct {
 	RefitEvery int                   `json:"refit_every"`
 	Seq        []*float64            `json:"seq"`
 	Fitted     bool                  `json:"fitted"`
 	Result     *core.GlobalFitResult `json:"result,omitempty"`
-	SinceRefit int                   `json:"since_refit"`
+	SinceRefit int                   `json:"since_refit,omitempty"`
 	Refits     int                   `json:"refits"`
 
 	Mode       string     `json:"mode,omitempty"`
@@ -129,7 +132,7 @@ func (r *Registry) streamPath(id string) string {
 // opts.RefitEvery, when positive, sets the refit cadence — honored on
 // existing streams too, with the effective value reported in the returned
 // StreamStatus. opts.Mode ("batch"/"incremental") likewise switches the
-// maintenance mode; "" keeps the current one. A full refit — when one
+// debt policy; "" keeps the current one. A full refit — when one
 // triggers — runs outside the registry lock and under ctx (nil = never
 // cancelled): a cancelled or timed-out refit stops cooperatively, keeps the
 // stream's last good fit, and is retried per the stream's backoff schedule.
@@ -303,12 +306,9 @@ func (r *Registry) getOrCreateStream(id string, opts AppendOptions) *stream {
 	if mode == "" {
 		mode = r.opts.StreamMode
 	}
-	var s *core.Stream
-	if m, _ := core.ParseRefitMode(mode); m == core.RefitIncremental {
-		s = core.NewIncrementalStream(r.opts.StreamFit, refitEvery, r.opts.StreamIncremental)
-	} else {
-		s = core.NewStream(r.opts.StreamFit, refitEvery)
-	}
+	m, _ := core.ParseRefitMode(mode)
+	s := core.NewIncrementalStream(r.opts.StreamFit, refitEvery, r.opts.StreamIncremental)
+	s.SetMode(m)
 	r.configureStream(id, s)
 	st := &stream{id: id, s: s, owed: compactCreate}
 	r.streams[id] = st
@@ -428,7 +428,6 @@ func encodeStreamSnapshot(st *stream, log string) ([]byte, error) {
 		RefitEvery: state.RefitEvery,
 		Seq:        encodeSeq(state.Seq),
 		Fitted:     state.Fitted,
-		SinceRefit: state.SinceRefit,
 		Refits:     st.refits,
 		Mode:       "",
 		TailWindow: state.TailWindow,

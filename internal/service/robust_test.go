@@ -68,7 +68,7 @@ func TestReadyzSaturatedQueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
-	started := make(chan struct{})
+	started := make(chan struct{}, 1)
 	// Negative grace = instantaneous saturation reporting, so the test need
 	// not wait out the anti-flap window.
 	engine := jobs.New(jobs.Options{Workers: 1, QueueDepth: 1, SaturationGrace: -1})
@@ -126,7 +126,7 @@ func TestReadyzToleratesMomentarySaturation(t *testing.T) {
 		t.Fatal(err)
 	}
 	release := make(chan struct{})
-	started := make(chan struct{})
+	started := make(chan struct{}, 1)
 	grace := 200 * time.Millisecond
 	engine := jobs.New(jobs.Options{Workers: 1, QueueDepth: 1, SaturationGrace: grace})
 	defer engine.Close()

@@ -1,5 +1,7 @@
 // Stateful serving layer: models live server-side in a registry, fits run
-// asynchronously on a jobs engine, and streams absorb ticks incrementally.
+// asynchronously on a jobs engine, and streams absorb ticks incrementally:
+// every fitted stream steps its checkpoint per tick, and the mode is the
+// debt policy that schedules its consolidating refit.
 //
 //	POST   /v1/jobs/fit             text/csv tensor → 202 {job_id, model_id}
 //	                                ?model_id=ID&global_only=1&no_growth=1&…
@@ -13,10 +15,10 @@
 //	GET    /v1/models/{id}/events   detected events
 //	POST   /v1/streams/{id}/append  {"values":[…]} (null = missing tick)
 //	                                ?refit_every=N (honored on existing streams)
-//	                                ?mode=batch|incremental (maintenance mode)
+//	                                ?mode=batch|incremental (debt policy, O(1) switch)
 //	POST   /v1/streams/{id}/refit   force a full consolidating refit now
 //	GET    /v1/streams              list streams
-//	GET    /v1/streams/{id}         stream status (mode, refit debt, cadence)
+//	GET    /v1/streams/{id}         stream status (mode, refit debt and limit, cadence)
 //	GET    /v1/streams/{id}/forecast ?horizon=H (409 until first fit)
 //	DELETE /v1/streams/{id}         → 204
 package service
