@@ -94,7 +94,7 @@ func TestCompressionRatioAboveOneForStructuredData(t *testing.T) {
 	p := KeywordParams{N: 100, Beta: 0.5, Delta: 0.45, Gamma: 0.5, I0: 0.02, TEta: NoGrowth}
 	shock := Shock{Keyword: 0, Period: 52, Start: 10, Width: 2, Strength: []float64{9, 9, 9, 9}}
 	x := tensor.New([]string{"k"}, []string{"WW"}, n)
-	eps := epsilonFromShocks([]Shock{shock}, n)
+	eps := epsilonOf([]Shock{shock}, n)
 	sim := Simulate(&p, n, eps, -1)
 	for t1, v := range sim {
 		x.Set(0, 0, t1, v)

@@ -50,29 +50,18 @@ func (m *Model) ForecastBands(i, h int, obs []float64, nSim int, coverage float6
 		residPool = []float64{0}
 	}
 
-	// Occurrence-strength spread per cyclic shock, for future-strength
-	// jitter.
-	var shocks []Shock
-	var strengths [][]float64
-	for _, s := range m.Shocks {
-		if s.Keyword != i {
-			continue
-		}
-		shocks = append(shocks, s)
-		strengths = append(strengths, s.Strength)
-	}
-
+	shocks := m.ShocksFor(i)
 	total := m.Ticks + h
+	draws := make([]float64, len(shocks))
+	eps := make([]float64, total)
 	trajectories := make([][]float64, nSim)
 	for sim := 0; sim < nSim; sim++ {
-		// Jitter future strengths: resample from the observed non-zero
-		// occurrence strengths of each shock.
-		jittered := make([][]float64, len(shocks))
-		for si := range shocks {
-			jittered[si] = resampleStrengths(strengths[si], rng)
+		// Jitter future strengths: each shock's projected occurrences take
+		// one strength resampled from its observed non-zero strengths.
+		for k := range shocks {
+			draws[k] = resampleStrength(shocks[k].Strength, rng)
 		}
-		eps := extendEpsilonResampled(shocks, strengths, jittered, total)
-		traj := Simulate(&m.Global[i], total, eps, -1)[m.Ticks:]
+		traj := Simulate(&m.Global[i], total, epsilonInto(eps, 0, shocks, true, draws), -1)[m.Ticks:]
 		for t := range traj {
 			traj[t] += residPool[rng.Intn(len(residPool))]
 			if traj[t] < 0 {
@@ -102,9 +91,11 @@ func (m *Model) ForecastBands(i, h int, obs []float64, nSim int, coverage float6
 	return band
 }
 
-// resampleStrengths draws a per-occurrence strength sample from the
-// observed non-zero strengths (returning the original mean when none).
-func resampleStrengths(observed []float64, rng *rand.Rand) []float64 {
+// resampleStrength draws one of the observed non-zero strengths (0, without
+// drawing, when there is none). One draw is enough: all future occurrences
+// of a trajectory share it, which models "how strong will next year's event
+// be" rather than independent per-year noise.
+func resampleStrength(observed []float64, rng *rand.Rand) float64 {
 	var pool []float64
 	for _, v := range observed {
 		if v > 0 {
@@ -112,46 +103,9 @@ func resampleStrengths(observed []float64, rng *rand.Rand) []float64 {
 		}
 	}
 	if len(pool) == 0 {
-		return nil
+		return 0
 	}
-	// One draw is enough: all future occurrences of a trajectory share it,
-	// which models "how strong will next year's event be" rather than
-	// independent per-year noise.
-	draw := pool[rng.Intn(len(pool))]
-	return []float64{draw}
-}
-
-// extendEpsilonResampled is extendEpsilon with per-trajectory future
-// strengths.
-func extendEpsilonResampled(shocks []Shock, observed, jittered [][]float64, total int) []float64 {
-	eps := make([]float64, total)
-	for t := range eps {
-		eps[t] = 1
-	}
-	for si := range shocks {
-		s := &shocks[si]
-		addShockProfile(eps, s, observed[si])
-		if s.Period <= 0 {
-			continue
-		}
-		future := 0.0
-		if len(jittered[si]) > 0 {
-			future = jittered[si][0]
-		}
-		if future <= 0 {
-			continue
-		}
-		for m := len(observed[si]); ; m++ {
-			start := s.OccurrenceStart(m)
-			if start >= total {
-				break
-			}
-			for t := start; t < start+s.Width && t < total; t++ {
-				eps[t] += future
-			}
-		}
-	}
-	return eps
+	return pool[rng.Intn(len(pool))]
 }
 
 // quantileSorted interpolates the q-quantile of an ascending slice.

@@ -165,7 +165,7 @@ func TestEpsilonFromShocksMatchesModelEpsilon(t *testing.T) {
 	}
 	m := &Model{Keywords: []string{"a"}, Ticks: 20, Global: make([]KeywordParams, 1),
 		Shocks: shocks}
-	a := epsilonFromShocks(shocks, 20)
+	a := epsilonOf(shocks, 20)
 	b := m.EpsilonGlobal(0, 20)
 	for t1 := range a {
 		if a[t1] != b[t1] {

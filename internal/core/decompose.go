@@ -23,20 +23,13 @@ type Components struct {
 // over n ticks.
 func (m *Model) Decompose(i, n int) Components {
 	shocks := m.ShocksFor(i)
-
+	eps := make([]float64, n)
 	simWith := func(withGrowth bool, shockSubset []Shock) []float64 {
 		p := m.Global[i]
 		if !withGrowth {
 			p.Eta0, p.TEta = 0, NoGrowth
 		}
-		eps := make([]float64, n)
-		for t := range eps {
-			eps[t] = 1
-		}
-		for si := range shockSubset {
-			addShockProfile(eps, &shockSubset[si], shockSubset[si].Strength)
-		}
-		return Simulate(&p, n, eps, -1)
+		return Simulate(&p, n, epsilonInto(eps, 0, shockSubset, false, nil), -1)
 	}
 
 	c := Components{

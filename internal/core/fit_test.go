@@ -13,7 +13,7 @@ import (
 // synthGlobal builds a ground-truth global sequence from the model family
 // itself plus observation noise scaled to the clean signal's peak.
 func synthGlobal(p KeywordParams, shocks []Shock, n int, noise float64, seed int64) []float64 {
-	eps := epsilonFromShocks(shocks, n)
+	eps := epsilonOf(shocks, n)
 	out := Simulate(&p, n, eps, -1)
 	peak := stats.Max(out)
 	if peak <= 0 {
@@ -207,7 +207,7 @@ func TestFitEndToEndSmallTensor(t *testing.T) {
 			p.N = weights[i][j]
 			var eps []float64
 			if i == 0 && j == 0 {
-				eps = epsilonFromShocks([]Shock{shock}, n)
+				eps = epsilonOf([]Shock{shock}, n)
 			}
 			sim := Simulate(&p, n, eps, -1)
 			for t1 := 0; t1 < n; t1++ {
@@ -328,7 +328,7 @@ func TestTotalCostDecreasesWithBetterModel(t *testing.T) {
 	p := truthBase
 	p.N = 80
 	shock := Shock{Keyword: 0, Period: NonCyclic, Start: 80, Width: 2, Strength: []float64{10}}
-	sim := Simulate(&p, n, epsilonFromShocks([]Shock{shock}, n), -1)
+	sim := Simulate(&p, n, epsilonOf([]Shock{shock}, n), -1)
 	for t1 := range sim {
 		x.Set(0, 0, t1, sim[t1])
 	}

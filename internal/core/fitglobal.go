@@ -92,12 +92,20 @@ func (o FitOptions) withDefaults() FitOptions {
 	return o
 }
 
-// maxShockStrength is the upper bound of every shock-strength search: the
-// per-occurrence golden refinements (global, streaming, and local) and the
-// LM strength boxes all use it. It used to differ between layers (60 in the
-// streaming refine pass, 80 in the local fit), so a strength legitimately
-// fitted near 80 by one layer was silently clipped by the next.
+// maxShockStrength is the upper bound of the shock-strength searches that
+// decide a strength: the per-occurrence golden refinements (global,
+// streaming, and local) and the LM strength boxes. It used to differ between
+// layers (60 in the streaming refine pass, 80 in the local fit), so a
+// strength legitimately fitted near 80 by one layer was silently clipped by
+// the next.
 const maxShockStrength = 80
+
+// strengthSeedHi brackets fitShockStrengths' golden search, which only seeds
+// evaluateCandidate's warm start: the joint LM that follows decides the
+// strength inside its maxShockStrength box. It is kept at 60 rather than
+// raised to maxShockStrength because a different bracket moves every golden
+// probe, and with them the fitted models the golden test pins.
+const strengthSeedHi = 60
 
 // GlobalFitResult is the outcome of fitting one keyword's global sequence.
 type GlobalFitResult struct {
@@ -392,49 +400,7 @@ func (g *gfit) snapshot() gsnapshot {
 
 // epsilon builds ε(t) from the current shocks.
 func (g *gfit) epsilon() []float64 {
-	return epsilonFromShocks(g.shocks, g.n)
-}
-
-func epsilonFromShocks(shocks []Shock, n int) []float64 {
-	return epsilonFromShocksInto(nil, shocks, n)
-}
-
-// epsilonFromShocksInto is epsilonFromShocks into a caller-provided buffer
-// (reused when its capacity suffices, freshly allocated otherwise).
-func epsilonFromShocksInto(dst []float64, shocks []Shock, n int) []float64 {
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	eps := dst[:n]
-	for t := range eps {
-		eps[t] = 1
-	}
-	for i := range shocks {
-		addShockProfile(eps, &shocks[i], shocks[i].Strength)
-	}
-	return eps
-}
-
-// rebuildEpsilonWindow recomputes eps[lo:hi) from scratch, accumulating in
-// the same canonical (shock, occurrence) order as epsilonFromShocks. Float
-// addition is not associative, so applying a ±delta in place would drift
-// from a full rebuild; re-deriving the window ticks in canonical order keeps
-// them bit-identical, which the golden-value tests pin down. Used by the
-// strength refiners, where one occurrence's strength changes per evaluation
-// and only its own window of ε(t) is affected.
-func rebuildEpsilonWindow(eps []float64, shocks []Shock, lo, hi int) {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(eps) {
-		hi = len(eps)
-	}
-	for t := lo; t < hi; t++ {
-		eps[t] = 1
-	}
-	for i := range shocks {
-		addShockProfileWindow(eps, &shocks[i], shocks[i].Strength, lo, hi)
-	}
+	return epsilonInto(make([]float64, g.n), 0, g.shocks, false, nil)
 }
 
 // simulate runs the current model.
@@ -1078,14 +1044,14 @@ func (g *gfit) evaluateCandidate(s Shock) (Shock, KeywordParams, float64) {
 	// copies it and layers only the candidate's occurrences on top. The
 	// candidate is added last, exactly as a full rebuild over others+cand
 	// would, keeping the profile bit-identical to the allocating path.
-	g.epsBase = epsilonFromShocksInto(g.epsBase, others, g.n)
+	g.epsBase = epsilonInto(ensureLen(g.epsBase, g.n), 0, others, false, nil)
 	epsBase := g.epsBase
 	candEps := func(strengths []float64) []float64 {
 		cand := s
 		cand.Strength = strengths
 		g.epsBuf = ensureLen(g.epsBuf, g.n)
 		copy(g.epsBuf, epsBase)
-		addShockProfile(g.epsBuf, &cand, strengths)
+		addShockEpsilon(g.epsBuf, 0, &cand, 0)
 		return g.epsBuf
 	}
 	resid := func(dst, v []float64) []float64 {
@@ -1308,7 +1274,7 @@ func (g *gfit) fitShockStrengths(s *Shock) {
 	// occurrence's window is re-derived per objective evaluation (and once
 	// more when its fitted strength is committed, so the profile stays
 	// current for the next occurrence).
-	g.epsBuf = epsilonFromShocksInto(g.epsBuf, working, g.n)
+	g.epsBuf = epsilonInto(ensureLen(g.epsBuf, g.n), 0, working, false, nil)
 	// Checkpointed simulation: occurrences are fitted in time order and
 	// Strength[m] only perturbs ε(t) inside its own window, so the state
 	// entering the window never depends on the value being searched. The
@@ -1322,30 +1288,23 @@ func (g *gfit) fitShockStrengths(s *Shock) {
 		if g.cancelled() {
 			break
 		}
-		// SSE over the window influenced by occurrence m: from its start to
-		// the next occurrence (or a decay horizon for the last one).
-		wstart := s.OccurrenceStart(m)
-		wend := g.n
-		if s.Period > 0 && wstart+s.Period < g.n {
-			wend = wstart + s.Period
-		} else if wstart+4*s.Width+16 < g.n {
-			wend = wstart + 4*s.Width + 16
-		}
-		ohi := wstart + s.Width
+		// SSE over the window influenced by occurrence m.
+		wstart, wend := occurrenceSpan(s, m, g.n)
+		occEps := g.epsBuf[wstart:min(wstart+s.Width, g.n)]
 		ckpt = k.run(ckpt, at, g.epsBuf[at:wstart], g.simBuf[at:wstart])
 		at = wstart
 		obj := func(str float64) float64 {
 			self.Strength[m] = str
-			rebuildEpsilonWindow(g.epsBuf, working, wstart, ohi)
+			epsilonInto(occEps, wstart, working, false, nil)
 			k.run(ckpt, wstart, g.epsBuf[wstart:wend], g.simBuf[wstart:wend])
 			return stats.SSE(g.seq[wstart:wend], g.simBuf[wstart:wend])
 		}
-		strength, _, _ := optimize.GoldenCtx(g.ctx, obj, 0, 60, 1e-3, 60)
+		strength, _, _ := optimize.GoldenCtx(g.ctx, obj, 0, strengthSeedHi, 1e-3, 60)
 		if strength < 1e-3 {
 			strength = 0
 		}
 		self.Strength[m] = strength
-		rebuildEpsilonWindow(g.epsBuf, working, wstart, ohi)
+		epsilonInto(occEps, wstart, working, false, nil)
 	}
 	s.Strength = append(s.Strength[:0], self.Strength...)
 }
@@ -1375,7 +1334,7 @@ func (g *gfit) refineStrengths() {
 		for i, id := range idx {
 			g.shocks[id[0]].Strength[id[1]] = p[i]
 		}
-		g.epsBuf = epsilonFromShocksInto(g.epsBuf, g.shocks, g.n)
+		g.epsBuf = epsilonInto(ensureLen(g.epsBuf, g.n), 0, g.shocks, false, nil)
 		g.simBuf = SimulateInto(g.simBuf, &g.params, g.n, g.epsBuf, -1)
 		return residualsInto(dst, g.seq, g.simBuf)
 	}
@@ -1387,7 +1346,7 @@ func (g *gfit) refineStrengths() {
 		for i, id := range idx {
 			g.shocks[id[0]].Strength[id[1]] = v[i]
 		}
-		g.epsBuf = epsilonFromShocksInto(g.epsBuf, g.shocks, g.n)
+		g.epsBuf = epsilonInto(ensureLen(g.epsBuf, g.n), 0, g.shocks, false, nil)
 		return &g.params, g.epsBuf
 	})
 	res, err := g.lmFit(resid, p0, g.lmOpts(60, lo, hi, jacFn))

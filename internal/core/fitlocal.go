@@ -25,8 +25,7 @@ import (
 // runs thousands of golden-section evaluations, and each used to allocate
 // an ε rebuild plus a simulation per step. The ε buffer is kept current
 // with the strengths at all times; a perturbed strength re-derives only its
-// occurrence's window (bit-identical to a full rebuild, see
-// rebuildEpsilonWindow).
+// occurrence's window (bit-identical to a full rebuild, see epsilonInto).
 //
 // ctx (which may be nil) cancels the cell cooperatively: each golden-section
 // search observes it, so a cancel stops the cell within one objective
@@ -36,29 +35,18 @@ func (m *Model) localFitKeywordLocation(i, j int, seq []float64, shocks []Shock,
 	n := m.Ticks
 	p := m.Global[i]
 
-	// Worker-local strengths initialised from the global fit.
+	// Worker-local strengths initialised from the global fit; local holds
+	// the shocks with these rows, which ε(t) is built from.
 	strengths = make([][]float64, len(shocks))
+	local := make([]Shock, len(shocks))
 	for si := range shocks {
 		strengths[si] = append([]float64(nil), shocks[si].Strength...)
+		local[si] = shocks[si]
+		local[si].Strength = strengths[si]
 	}
 
-	epsBuf := make([]float64, n)
+	epsBuf := epsilonInto(make([]float64, n), 0, local, false, nil)
 	var simBuf, residBuf []float64
-	rebuildEps := func(lo, hi int) {
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > n {
-			hi = n
-		}
-		for t := lo; t < hi; t++ {
-			epsBuf[t] = 1
-		}
-		for si := range shocks {
-			addShockProfileWindow(epsBuf, &shocks[si], strengths[si], lo, hi)
-		}
-	}
-	rebuildEps(0, n)
 
 	// Initial population share: proportion of the keyword's global volume
 	// observed in this location.
@@ -134,33 +122,27 @@ func (m *Model) localFitKeywordLocation(i, j int, seq []float64, shocks []Shock,
 				if cancelled() {
 					break
 				}
-				wstart := s.OccurrenceStart(occ)
+				wstart, wend := occurrenceSpan(s, occ, n)
 				if wstart >= n {
 					continue
-				}
-				wend := n
-				if s.Period > 0 && wstart+s.Period < n {
-					wend = wstart + s.Period
-				} else if wstart+4*s.Width+16 < n {
-					wend = wstart + 4*s.Width + 16
 				}
 				if tensor.ObservedCount(seq[wstart:wend]) == 0 {
 					continue
 				}
 				save := strengths[si][occ]
-				ohi := wstart + s.Width
+				occEps := epsBuf[wstart:min(wstart+s.Width, n)]
 				// window evaluates the trial strength and leaves it (and the
 				// ε window) in place; callers restore via setStrength.
 				window := func(str float64) []float64 {
 					strengths[si][occ] = str
-					rebuildEps(wstart, ohi)
+					epsilonInto(occEps, wstart, local, false, nil)
 					sim := localSim()
 					residBuf = residualsInto(residBuf, seq[wstart:wend], sim[wstart:wend])
 					return residBuf
 				}
 				setStrength := func(str float64) {
 					strengths[si][occ] = str
-					rebuildEps(wstart, ohi)
+					epsilonInto(occEps, wstart, local, false, nil)
 				}
 				fit := func(str float64) float64 {
 					return sseVsZero(window(str))

@@ -8,66 +8,6 @@ import "math"
 // strength of incoming external events (§6 of the paper). Non-cyclic shocks
 // do not recur.
 
-// futureStrength is the strength assumed for occurrences beyond the
-// training window: the mean of the observed non-zero occurrence strengths.
-// An event whose last two observed occurrences were both zero is treated as
-// ended and does not recur (e.g., a film franchise after its finale) — one
-// trailing zero alone is not conclusive, since the final cycle may simply
-// have been cut off by the training window.
-func futureStrength(s *Shock) float64 {
-	if k := len(s.Strength); k >= 2 && s.Strength[k-1] == 0 && s.Strength[k-2] == 0 {
-		return 0
-	}
-	sum, cnt := 0.0, 0
-	for _, v := range s.Strength {
-		if v > 0 {
-			sum += v
-			cnt++
-		}
-	}
-	if cnt == 0 {
-		return 0
-	}
-	return sum / float64(cnt)
-}
-
-// extendEpsilon builds ε(t) over total ticks: observed occurrence strengths
-// inside the training window, the projected strength beyond it.
-func extendEpsilon(shocks []Shock, strengths [][]float64, total int) []float64 {
-	eps := make([]float64, total)
-	for t := range eps {
-		eps[t] = 1
-	}
-	for si := range shocks {
-		s := &shocks[si]
-		str := strengths[si]
-		addShockProfile(eps, s, str)
-		if s.Period <= 0 {
-			continue
-		}
-		future := futureStrengthOf(str, s)
-		if future <= 0 {
-			continue
-		}
-		for m := len(str); ; m++ {
-			start := s.OccurrenceStart(m)
-			if start >= total {
-				break
-			}
-			for t := start; t < start+s.Width && t < total; t++ {
-				eps[t] += future
-			}
-		}
-	}
-	return eps
-}
-
-func futureStrengthOf(str []float64, s *Shock) float64 {
-	tmp := *s
-	tmp.Strength = str
-	return futureStrength(&tmp)
-}
-
 // ForecastGlobal simulates keyword i for h ticks beyond the training window
 // and returns only the forecast horizon (length h).
 func (m *Model) ForecastGlobal(i, h int) []float64 {
@@ -86,17 +26,7 @@ func (m *Model) ForecastGlobalFull(i, h int) []float64 {
 		h = 0
 	}
 	total := m.Ticks + h
-	var shocks []Shock
-	var strengths [][]float64
-	for _, s := range m.Shocks {
-		if s.Keyword != i {
-			continue
-		}
-		shocks = append(shocks, s)
-		strengths = append(strengths, s.Strength)
-	}
-	eps := extendEpsilon(shocks, strengths, total)
-	return Simulate(&m.Global[i], total, eps, -1)
+	return Simulate(&m.Global[i], total, epsilonInto(make([]float64, total), 0, m.ShocksFor(i), true, nil), -1)
 }
 
 // ForecastLocal simulates keyword i in location j for h ticks beyond the
@@ -106,35 +36,8 @@ func (m *Model) ForecastLocal(i, j, h int) []float64 {
 		return nil
 	}
 	total := m.Ticks + h
-	var shocks []Shock
-	var strengths [][]float64
-	for _, s := range m.Shocks {
-		if s.Keyword != i {
-			continue
-		}
-		shocks = append(shocks, s)
-		str := s.Strength
-		if s.Local != nil {
-			str = make([]float64, len(s.Strength))
-			for occ := range str {
-				if j < len(s.Local[occ]) {
-					str[occ] = s.Local[occ][j]
-				}
-			}
-		}
-		strengths = append(strengths, str)
-	}
-	eps := extendEpsilon(shocks, strengths, total)
-	p := m.Global[i]
-	rate := -1.0
-	if m.LocalN != nil {
-		p.N = m.LocalN[i][j]
-	}
-	if m.LocalR != nil {
-		rate = m.LocalR[i][j]
-	}
-	sim := Simulate(&p, total, eps, rate)
-	return sim[m.Ticks:]
+	shocks, p, rate := m.keywordAt(i, j)
+	return Simulate(&p, total, epsilonInto(make([]float64, total), 0, shocks, true, nil), rate)[m.Ticks:]
 }
 
 // PredictedEvents lists the future shock occurrences of keyword i within the
@@ -156,7 +59,7 @@ func (m *Model) PredictedEvents(i, h int) []PredictedEvent {
 		if s.Keyword != i || s.Period <= 0 {
 			continue
 		}
-		future := futureStrength(&s)
+		future := futureStrength(s.Strength)
 		if future <= 0 {
 			continue
 		}

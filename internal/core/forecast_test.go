@@ -25,11 +25,11 @@ func grammyModel(nTrain int) *Model {
 
 func TestFutureStrengthIgnoresZeros(t *testing.T) {
 	s := Shock{Strength: []float64{4, 0, 8}}
-	if got := futureStrength(&s); math.Abs(got-6) > 1e-12 {
+	if got := futureStrength(s.Strength); math.Abs(got-6) > 1e-12 {
 		t.Fatalf("futureStrength = %g, want 6", got)
 	}
 	empty := Shock{Strength: []float64{0, 0}}
-	if futureStrength(&empty) != 0 {
+	if futureStrength(empty.Strength) != 0 {
 		t.Fatal("all-zero strengths should project 0")
 	}
 }
@@ -37,12 +37,12 @@ func TestFutureStrengthIgnoresZeros(t *testing.T) {
 func TestFutureStrengthEndedEvent(t *testing.T) {
 	// Two trailing zeros: the event ended; it must not recur.
 	ended := Shock{Strength: []float64{8, 9, 8, 0, 0}}
-	if got := futureStrength(&ended); got != 0 {
+	if got := futureStrength(ended.Strength); got != 0 {
 		t.Fatalf("ended event projects %g, want 0", got)
 	}
 	// A single trailing zero is inconclusive (window edge): still projects.
 	edge := Shock{Strength: []float64{8, 9, 8, 0}}
-	if got := futureStrength(&edge); got <= 0 {
+	if got := futureStrength(edge.Strength); got <= 0 {
 		t.Fatalf("edge-cut event projects %g, want positive", got)
 	}
 }

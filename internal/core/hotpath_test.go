@@ -18,7 +18,7 @@ func hotpathParams() KeywordParams {
 
 // Two cyclic shocks with overlapping occurrence windows plus a one-off that
 // lands inside one of them: the accumulation order over shared ticks is
-// exactly what rebuildEpsilonWindow must reproduce.
+// exactly what a windowed ε(t) rebuild must reproduce.
 func hotpathShocks() []Shock {
 	return []Shock{
 		{Keyword: 0, Period: 20, Start: 10, Width: 6, Strength: []float64{3.5, 2.25, 4.125, 1.75, 2.5}},
@@ -29,7 +29,7 @@ func hotpathShocks() []Shock {
 
 func TestSimulateIntoMatchesSimulate(t *testing.T) {
 	n := 96
-	eps := epsilonFromShocks(hotpathShocks(), n)
+	eps := epsilonOf(hotpathShocks(), n)
 	cases := []struct {
 		name string
 		p    KeywordParams
@@ -78,48 +78,48 @@ func TestResidualsIntoMatchesResiduals(t *testing.T) {
 func TestEpsilonFromShocksIntoReuse(t *testing.T) {
 	shocks := hotpathShocks()
 	n := 96
-	want := epsilonFromShocks(shocks, n)
+	want := epsilonOf(shocks, n)
 
 	buf := make([]float64, n)
 	for i := range buf {
 		buf[i] = 99
 	}
-	got := epsilonFromShocksInto(buf, shocks, n)
+	got := epsilonInto(buf, 0, shocks, false, nil)
 	assertBitEqual(t, "reused-dst", want, got)
 	if &got[0] != &buf[0] {
-		t.Fatal("epsilonFromShocksInto allocated despite sufficient capacity")
+		t.Fatal("epsilonInto allocated despite sufficient capacity")
 	}
 }
 
-// rebuildEpsilonWindow is the ε(t)-caching workhorse: after a single
+// A windowed ε(t) rebuild is the caching workhorse: after a single
 // occurrence strength changes, rebuilding only that occurrence's window
-// must leave the whole profile bit-identical to a from-scratch rebuild —
-// including ticks where overlapping occurrences of *other* shocks
-// contribute, since float addition is not associative.
+// with epsilonInto must leave the whole profile bit-identical to a
+// from-scratch build — including ticks where overlapping occurrences of
+// *other* shocks contribute, since float addition is not associative.
 func TestRebuildEpsilonWindowMatchesFullRebuild(t *testing.T) {
 	shocks := hotpathShocks()
 	n := 96
-	eps := epsilonFromShocks(shocks, n)
+	eps := epsilonOf(shocks, n)
 
 	perturb := []struct{ si, occ int }{
 		{0, 2}, // overlaps shock 1's windows
 		{1, 1}, // overlaps shock 0's windows
 		{2, 0}, // one-off inside shock 0/1 territory
-		{0, 4}, // last occurrence, window clipped by n? (start 90, width 6)
+		{0, 4}, // last occurrence, ending at n (start 90, width 6)
 	}
 	for _, pb := range perturb {
 		s := &shocks[pb.si]
 		s.Strength[pb.occ] *= 1.37
 		lo := s.OccurrenceStart(pb.occ)
-		hi := lo + s.Width
-		rebuildEpsilonWindow(eps, shocks, lo, hi)
-		want := epsilonFromShocks(shocks, n)
+		hi := min(lo+s.Width, n)
+		epsilonInto(eps[lo:hi], lo, shocks, false, nil)
+		want := epsilonOf(shocks, n)
 		assertBitEqual(t, "after-perturb", want, eps)
 	}
 
-	// Out-of-range windows must clamp, not panic.
-	rebuildEpsilonWindow(eps, shocks, -5, n+10)
-	assertBitEqual(t, "clamped-window", epsilonFromShocks(shocks, n), eps)
+	// A window covering the whole range rebuilds the stale profile in place.
+	epsilonInto(eps, 0, shocks, false, nil)
+	assertBitEqual(t, "whole-window", epsilonOf(shocks, n), eps)
 }
 
 // The allocation gates of the tentpole, at the figure benchmarks' sequence

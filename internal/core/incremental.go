@@ -146,7 +146,7 @@ func newIncState(seq []float64, res *GlobalFitResult, future []float64, w int) *
 	} else {
 		st.future = make([]float64, len(res.Shocks))
 		for si := range res.Shocks {
-			st.future[si] = futureStrength(&res.Shocks[si])
+			st.future[si] = futureStrength(res.Shocks[si].Strength)
 		}
 	}
 	for len(st.future) < len(res.Shocks) {
@@ -176,20 +176,20 @@ func (st *incState) advance(shocks []Shock, raw float64) {
 			}
 		}
 	}
-	if norm := st.record(t, epsAt(shocks, t), raw); norm > st.normMax {
+	if norm := st.record(t, shocks, raw); norm > st.normMax {
 		st.normMax = norm
 	}
 	st.head++
 }
 
-// record steps tick t from cur under ε(t) = eps, files the state entering
-// it with its simulated output and residual in the rings, and returns the
-// normalised observation (NaN when unusable).
-func (st *incState) record(t int, eps, raw float64) float64 {
+// record steps tick t from cur under the shocks' ε(t), files the state
+// entering it with its simulated output and residual in the rings, and
+// returns the normalised observation (NaN when unusable).
+func (st *incState) record(t int, shocks []Shock, raw float64) float64 {
 	r := t % st.w
 	st.states[r] = st.cur
-	e := [1]float64{eps}
-	st.cur = st.run(st.cur, t, e[:], st.sim[r:r+1])
+	out := st.sim[r : r+1]
+	st.cur = st.run(st.cur, t, epsilonInto(out, t, shocks, true, nil), out)
 	norm := st.normObs(raw)
 	st.resid[r] = norm - st.sim[r]
 	return norm
@@ -207,42 +207,15 @@ func (st *incState) normObs(raw float64) float64 {
 	return raw
 }
 
-// epsAt derives ε(t) for one tick, summing shock contributions in shock
-// order — the order epsilonFromShocks and extendEpsilon accumulate in, so
-// the scalar is bit-identical to the array entry a batch build would
-// produce. An occurrence past its shock's strength row gets extendEpsilon's
-// projection: a cyclic shock's futureStrength when positive, nothing
-// otherwise. Only forecast ticks past the head meet such an occurrence;
-// advance materialises every occurrence it reaches before asking.
-func epsAt(shocks []Shock, t int) float64 {
-	e := 1.0
-	for si := range shocks {
-		sh := &shocks[si]
-		m := sh.OccurrenceAt(t)
-		switch {
-		case m < 0:
-		case m < len(sh.Strength):
-			e += sh.Strength[m]
-		case sh.Period > 0:
-			if f := futureStrength(sh); f > 0 {
-				e += f
-			}
-		}
-	}
-	return e
-}
-
 // forecast steps the recurrence h ticks past the head from cur, with ε(t)
-// projected by epsAt, and returns N·i(t) for each of those ticks: O(h·#shocks)
-// work, one allocation, and no writes to the state or the shocks. p is the
-// fit's raw parameters; its kernel differs from the embedded one only in N,
-// which scales the output and never the state, so the result is the tail of
-// the batch simulation ForecastGlobal runs over the whole window.
+// projected past each cyclic shock's strength row, and returns N·i(t) for
+// each of those ticks: O(h·#shocks) work, one allocation, and no writes to
+// the state or the shocks. p is the fit's raw parameters; its kernel differs
+// from the embedded one only in N, which scales the output and never the
+// state, so the result is the tail of the batch simulation ForecastGlobal
+// runs over the whole window.
 func (st *incState) forecast(shocks []Shock, p *KeywordParams, h int) []float64 {
-	out := make([]float64, h)
-	for k := range out {
-		out[k] = epsAt(shocks, st.head+k)
-	}
+	out := epsilonInto(make([]float64, h), st.head, shocks, true, nil)
 	raw := newKernel(p, -1)
 	raw.run(st.cur, st.head, out, out)
 	return out
@@ -254,7 +227,7 @@ func (st *incState) forecast(shocks []Shock, p *KeywordParams, h int) []float64 
 func (st *incState) rebuildFrom(seq []float64, shocks []Shock, t0 int) {
 	st.cur = st.states[t0%st.w]
 	for t := t0; t < len(seq); t++ {
-		st.record(t, epsAt(shocks, t), seq[t])
+		st.record(t, shocks, seq[t])
 	}
 	st.head = len(seq)
 }
@@ -390,7 +363,7 @@ func (s *Stream) scanTail() bool {
 		return false
 	}
 	s.result.Shocks = append(s.result.Shocks, cand)
-	s.inc.future = append(s.inc.future, futureStrength(&cand))
+	s.inc.future = append(s.inc.future, futureStrength(cand.Strength))
 	st.rebuildFrom(s.seq, s.result.Shocks, cand.Start)
 	s.debt += debtTailShock
 	return true
@@ -423,7 +396,7 @@ func (s *Stream) refineOccurrence(si, m int) {
 		return // already right; nothing to commit or rebuild
 	}
 	sh.Strength[m] = best
-	st.future[si] = futureStrength(sh)
+	st.future[si] = futureStrength(sh.Strength)
 	st.rebuildFrom(s.seq, s.result.Shocks, ostart)
 	s.debt += debtTailShock
 }
@@ -467,11 +440,10 @@ func (s *Stream) tailSSEFrom(t0 int) float64 {
 func (s *Stream) tailSSEWith(shocks []Shock, t0 int) float64 {
 	st := s.inc
 	x := st.states[t0%st.w]
-	var e, out [1]float64
+	var out [1]float64
 	sse := 0.0
 	for t := t0; t < st.head; t++ {
-		e[0] = epsAt(shocks, t)
-		x = st.run(x, t, e[:], out[:])
+		x = st.run(x, t, epsilonInto(out[:], t, shocks, true, nil), out[:])
 		if norm := st.normObs(s.seq[t]); !math.IsNaN(norm) {
 			d := norm - out[0]
 			sse += d * d
@@ -500,10 +472,9 @@ func (s *Stream) acceptTailShock(cand Shock, t0 int, tailResid []float64, muQ, s
 	// before t0, re-simulated after.
 	residWith := append([]float64(nil), tailResid...)
 	x := st.states[t0%st.w]
-	var e, out [1]float64
+	var out [1]float64
 	for t := t0; t < n; t++ {
-		e[0] = epsAt(with, t)
-		x = st.run(x, t, e[:], out[:])
+		x = st.run(x, t, epsilonInto(out[:], t, with, true, nil), out[:])
 		residWith[t-lo] = st.normObs(s.seq[t]) - out[0]
 	}
 	costWith := mdl.GaussianCostFixed(residWith, muQ, sigma2Q) + costShockTensor(with, 1, 1, n)

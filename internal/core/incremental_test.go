@@ -60,7 +60,7 @@ func TestIncrementalStepMatchesSimulate(t *testing.T) {
 
 			pnorm := raw
 			pnorm.N = raw.N / scale
-			eps := epsilonFromShocks(tc.shocks, n)
+			eps := epsilonOf(tc.shocks, n)
 			want := SimulateInto(nil, &pnorm, n, eps, -1)
 			for tt := n - w; tt < n; tt++ {
 				if got := st.sim[tt%w]; got != want[tt] {

@@ -260,94 +260,18 @@ func (m *Model) ShocksFor(i int) []Shock {
 }
 
 // EpsilonGlobal builds the temporal susceptible rate ε(t) for keyword i over
-// n ticks from the global occurrence strengths: ε(t) = 1 + Σ_s f(t; s).
+// n ticks from the global occurrence strengths: ε(t) = 1 + Σ_s f(t; s). An
+// occurrence past the end of its strength row adds nothing.
 func (m *Model) EpsilonGlobal(i, n int) []float64 {
-	eps := make([]float64, n)
-	for t := range eps {
-		eps[t] = 1
-	}
-	for _, s := range m.Shocks {
-		if s.Keyword != i {
-			continue
-		}
-		addShockProfile(eps, &s, s.Strength)
-	}
-	return eps
+	return epsilonInto(make([]float64, n), 0, m.ShocksFor(i), false, nil)
 }
 
-// EpsilonLocal builds ε_ij(t) for keyword i in location j. Occurrences
-// without a fitted local strength row fall back to the global strength.
+// EpsilonLocal builds ε_ij(t) for keyword i in location j from column j of
+// each shock's Local matrix. Only a shock with no Local matrix falls back to
+// its global strengths; a location past the end of a Local row reads 0.
 func (m *Model) EpsilonLocal(i, j, n int) []float64 {
-	eps := make([]float64, n)
-	for t := range eps {
-		eps[t] = 1
-	}
-	for _, s := range m.Shocks {
-		if s.Keyword != i {
-			continue
-		}
-		strengths := s.Strength
-		if s.Local != nil {
-			strengths = make([]float64, len(s.Strength))
-			for mIdx := range strengths {
-				if j < len(s.Local[mIdx]) {
-					strengths[mIdx] = s.Local[mIdx][j]
-				}
-			}
-		}
-		addShockProfile(eps, &s, strengths)
-	}
-	return eps
-}
-
-// addShockProfile accumulates the shock's strength into eps for each
-// occurrence, using the provided per-occurrence strengths.
-func addShockProfile(eps []float64, s *Shock, strengths []float64) {
-	n := len(eps)
-	occ := s.Occurrences(n)
-	if occ > len(strengths) {
-		occ = len(strengths)
-	}
-	for m := 0; m < occ; m++ {
-		start := s.OccurrenceStart(m)
-		for t := start; t < start+s.Width && t < n; t++ {
-			if t < 0 {
-				continue
-			}
-			eps[t] += strengths[m]
-		}
-	}
-}
-
-// addShockProfileWindow is addShockProfile restricted to ticks in [lo, hi):
-// additions outside the window are skipped, and the within-window additions
-// happen in exactly the same (occurrence, tick) order as the unrestricted
-// version, so rebuilding a window slice-by-slice stays bit-identical to a
-// full rebuild (float addition is not associative, so the order matters).
-func addShockProfileWindow(eps []float64, s *Shock, strengths []float64, lo, hi int) {
-	n := len(eps)
-	if hi > n {
-		hi = n
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	occ := s.Occurrences(n)
-	if occ > len(strengths) {
-		occ = len(strengths)
-	}
-	for m := 0; m < occ; m++ {
-		start := s.OccurrenceStart(m)
-		if start >= hi {
-			break
-		}
-		for t := start; t < start+s.Width && t < hi; t++ {
-			if t < lo {
-				continue
-			}
-			eps[t] += strengths[m]
-		}
-	}
+	shocks, _, _ := m.keywordAt(i, j)
+	return epsilonInto(make([]float64, n), 0, shocks, false, nil)
 }
 
 // Simulate runs the SIV difference system for n ticks with the given
@@ -379,22 +303,13 @@ func SimulateInto(dst []float64, p *KeywordParams, n int, eps []float64, growthR
 // ticks (n may exceed the training window; ε is extended by Epsilon* which
 // only covers known occurrences — use Forecast for proper extrapolation).
 func (m *Model) SimulateGlobal(i, n int) []float64 {
-	eps := m.EpsilonGlobal(i, n)
-	return Simulate(&m.Global[i], n, eps, -1)
+	return Simulate(&m.Global[i], n, m.EpsilonGlobal(i, n), -1)
 }
 
 // SimulateLocal returns the fitted local curve for keyword i in location j.
 func (m *Model) SimulateLocal(i, j, n int) []float64 {
-	eps := m.EpsilonLocal(i, j, n)
-	p := m.Global[i] // copy: local overrides scale
-	if m.LocalN != nil {
-		p.N = m.LocalN[i][j]
-	}
-	rate := -1.0
-	if m.LocalR != nil {
-		rate = m.LocalR[i][j]
-	}
-	return Simulate(&p, n, eps, rate)
+	shocks, p, rate := m.keywordAt(i, j)
+	return Simulate(&p, n, epsilonInto(make([]float64, n), 0, shocks, false, nil), rate)
 }
 
 func clamp01(v float64) float64 {

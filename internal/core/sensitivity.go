@@ -48,7 +48,7 @@ const (
 	// SensStrength differentiates with respect to one shock-occurrence
 	// strength: ∂ε(t)/∂θ = 1 on the occurrence window [Lo, Hi) and 0
 	// elsewhere (the profile ε(t) = 1 + Σ strengths is linear in each
-	// strength, see addShockProfile).
+	// strength, see epsilonInto).
 	SensStrength
 )
 
@@ -61,7 +61,7 @@ type SensSpec struct {
 }
 
 // StrengthSpec builds the SensSpec of occurrence m of shock s in an n-tick
-// window — exactly the ticks addShockProfile adds Strength[m] to.
+// window — exactly the ticks epsilonInto adds Strength[m] to.
 func StrengthSpec(s *Shock, m, n int) SensSpec {
 	lo := s.OccurrenceStart(m)
 	hi := lo + s.Width

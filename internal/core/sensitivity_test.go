@@ -64,7 +64,7 @@ func sensSpecsFor(shocks []Shock, withEta bool, n int) []SensSpec {
 
 func TestSensitivityValuesMatchSimulate(t *testing.T) {
 	n := 96
-	dirty := epsilonFromShocks(hotpathShocks(), n)
+	dirty := epsilonOf(hotpathShocks(), n)
 	dirty[17] = math.NaN()
 	dirty[40] = math.Inf(1)
 	cases := append(sensCases(),
@@ -80,7 +80,7 @@ func TestSensitivityValuesMatchSimulate(t *testing.T) {
 	for _, tc := range cases {
 		var eps []float64
 		if tc.shocks != nil {
-			eps = epsilonFromShocks(tc.shocks, n)
+			eps = epsilonOf(tc.shocks, n)
 		}
 		specs := sensSpecsFor(tc.shocks, true, n)
 		want := SimulateInto(nil, &tc.p, n, eps, tc.rate)
@@ -368,7 +368,7 @@ func TestJacobianMatchesFiniteDifference(t *testing.T) {
 	for _, tc := range sensCases() {
 		var eps []float64
 		if tc.shocks != nil {
-			eps = epsilonFromShocks(tc.shocks, n)
+			eps = epsilonOf(tc.shocks, n)
 		}
 		specs := sensSpecsFor(tc.shocks, true, n)
 		checked := checkJacobianAgainstFD(t, tc.name, &tc.p, n, eps, tc.rate, specs)
@@ -447,7 +447,7 @@ func TestSensitivitySubgradientConventions(t *testing.T) {
 func TestSensitivityScratchAllocs(t *testing.T) {
 	n := 96
 	shocks := hotpathShocks()
-	eps := epsilonFromShocks(shocks, n)
+	eps := epsilonOf(shocks, n)
 	specs := sensSpecsFor(shocks, true, n)
 	p := hotpathParams()
 	out := make([]float64, n)
@@ -496,7 +496,7 @@ func FuzzJacobianConsistency(f *testing.F) {
 		n := 48
 		shocks := []Shock{{Keyword: 0, Period: 16, Start: 5, Width: 3,
 			Strength: []float64{vals[7], vals[7] / 2, vals[7]}}}
-		eps := epsilonFromShocks(shocks, n)
+		eps := epsilonOf(shocks, n)
 		specs := sensSpecsFor(shocks, true, n)
 		np := len(specs)
 
@@ -541,7 +541,7 @@ func TestSensitivitySpecializedMatchesGeneric(t *testing.T) {
 	for _, tc := range sensCases() {
 		var eps []float64
 		if tc.shocks != nil {
-			eps = epsilonFromShocks(tc.shocks, n)
+			eps = epsilonOf(tc.shocks, n)
 		}
 		specs := sensSpecsFor(tc.shocks, tc.p.TEta != NoGrowth, n)
 		np := len(specs)

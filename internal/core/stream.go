@@ -64,7 +64,7 @@ func ContinueGlobalSequence(seq []float64, keyword int, prev GlobalFitResult, op
 		}
 		occ := s.Occurrences(n)
 		strengths := make([]float64, occ)
-		future := futureStrength(&s)
+		future := futureStrength(s.Strength)
 		for m := range strengths {
 			if m < len(s.Strength) {
 				strengths[m] = s.Strength[m]
@@ -151,15 +151,9 @@ func (g *gfit) refineStrengthsAll() {
 			if g.cancelled() {
 				return
 			}
-			wstart := s.OccurrenceStart(m)
+			wstart, wend := occurrenceSpan(s, m, g.n)
 			if wstart >= g.n {
 				continue
-			}
-			wend := g.n
-			if s.Period > 0 && wstart+s.Period < g.n {
-				wend = wstart + s.Period
-			} else if wstart+4*s.Width+16 < g.n {
-				wend = wstart + 4*s.Width + 16
 			}
 			best := fitOneStrength(g, s, m, wstart, wend)
 			s.Strength[m] = best
@@ -753,13 +747,12 @@ func (s *Stream) Forecast(h int) []float64 {
 // ε(t) profile is built once and just that occurrence's window is
 // re-derived per step.
 func fitOneStrength(g *gfit, s *Shock, m, wstart, wend int) float64 {
-	g.epsBuf = epsilonFromShocksInto(g.epsBuf, g.shocks, g.n)
-	olo := s.OccurrenceStart(m)
-	ohi := olo + s.Width
+	g.epsBuf = epsilonInto(ensureLen(g.epsBuf, g.n), 0, g.shocks, false, nil)
+	occEps := g.epsBuf[wstart:min(wstart+s.Width, g.n)]
 	save := s.Strength[m]
 	obj := func(str float64) float64 {
 		s.Strength[m] = str
-		rebuildEpsilonWindow(g.epsBuf, g.shocks, olo, ohi)
+		epsilonInto(occEps, wstart, g.shocks, false, nil)
 		g.simBuf = SimulateInto(g.simBuf, &g.params, g.n, g.epsBuf, -1)
 		sse := 0.0
 		for t := wstart; t < wend; t++ {

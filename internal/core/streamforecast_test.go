@@ -68,7 +68,7 @@ func driveForecastOracle(t *testing.T, s *Stream, opts FitOptions, series []floa
 	var run forecastRun
 	note := func(s *Stream) {
 		for _, sh := range s.result.Shocks {
-			if sh.Period > 0 && futureStrength(&sh) > 0 {
+			if sh.Period > 0 && futureStrength(sh.Strength) > 0 {
 				run.cyclic = true
 			}
 		}

@@ -30,7 +30,7 @@ func TestFitOneStrengthRecoversAboveOldCap(t *testing.T) {
 	shock := Shock{Keyword: 0, Period: NonCyclic, Start: 10, Width: 5, Strength: []float64{trueStrength}}
 
 	truthShocks := []Shock{shock}
-	seq := Simulate(&p, n, epsilonFromShocks(truthShocks, n), -1)
+	seq := Simulate(&p, n, epsilonOf(truthShocks, n), -1)
 
 	// Warm-start state: right shock shape, strength unknown (zero).
 	g := &gfit{seq: seq, n: n, params: p,

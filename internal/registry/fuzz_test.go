@@ -48,10 +48,10 @@ func FuzzDecodeManifest(f *testing.F) {
 }
 
 // FuzzRestoreState hammers the other persisted trust boundary: stream
-// snapshot JSON. Whatever bytes land in a streams/*.json file, decoding
-// must either reject them or produce a state that restores into a stream
-// whose Model/Forecast/State paths work without panicking, with no Inf or
-// negative counts smuggled into the sequence.
+// snapshot JSON, through restoreStream, the function boot restores streams
+// with. Whatever bytes land in a streams/*.json file, it must either reject
+// them or restore a stream whose Model/Forecast/State paths work without
+// panicking, with no Inf or negative counts smuggled into the sequence.
 func FuzzRestoreState(f *testing.F) {
 	f.Add([]byte(`{"refit_every":30,"seq":[1,2,null,3],"fitted":false}`))
 	f.Add([]byte(`{"refit_every":30,"seq":[],"fitted":true}`))
@@ -66,7 +66,7 @@ func FuzzRestoreState(f *testing.F) {
 	f.Add([]byte(`{"refit_every":30,"seq":[1,2],"log":"s@1.log"}`))
 	f.Add([]byte(`{"refit_every":30,"seq":[1,2],"log":"../s@1.log"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		state, refits, log, err := decodeStreamState(data)
+		s, refits, log, err := restoreStream(data, core.FitOptions{Workers: 1, MaxOuterIter: 1, MaxShocks: 1})
 		if err != nil {
 			return
 		}
@@ -76,7 +76,7 @@ func FuzzRestoreState(f *testing.F) {
 		if refits < 0 {
 			refits = 0 // refit counter is cosmetic; the stream must still work
 		}
-		for i, v := range state.Seq {
+		for i, v := range s.State().Seq {
 			if tensor.IsMissing(v) {
 				continue
 			}
@@ -84,7 +84,6 @@ func FuzzRestoreState(f *testing.F) {
 				t.Fatalf("decoder admitted seq[%d] = %v", i, v)
 			}
 		}
-		s := core.RestoreStream(core.FitOptions{Workers: 1, MaxOuterIter: 1, MaxShocks: 1}, state)
 		_ = s.Len()
 		_ = s.Ready()
 		_ = s.Model()

@@ -460,13 +460,26 @@ func encodeStreamSnapshot(st *stream, log string) ([]byte, error) {
 	return json.Marshal(sj)
 }
 
-// decodeStreamState parses and validates one persisted snapshot, returning
-// the state, the refit count and the name of the segment to replay on top
-// ("" for none). It is the trust boundary for stream files (fuzzed by
-// FuzzRestoreState): the decoded sequence must contain no Inf or negative
-// counts (NaN is the missing sentinel and fine), the segment must be a
-// segment file name, and a fitted snapshot must materialise a model that
-// passes the same validation Put applies.
+// restoreStream is the trust boundary for stream files (fuzzed by
+// FuzzRestoreState): it parses a snapshot with decodeStreamState, restores
+// the stream and holds a fitted one's model to the validation Put applies.
+// Boot keeps the stream it returns, so it replays each checkpoint once.
+func restoreStream(data []byte, opts core.FitOptions) (*core.Stream, int, string, error) {
+	state, refits, log, err := decodeStreamState(data)
+	if err != nil {
+		return nil, 0, "", err
+	}
+	s := core.RestoreStream(opts, state)
+	if state.Fitted {
+		err = s.Model().Validate()
+	}
+	return s, refits, log, err
+}
+
+// decodeStreamState parses one persisted snapshot, returning the state, the
+// refit count and the name of the segment to replay on top ("" for none).
+// The decoded sequence must contain no Inf or negative counts (NaN is the
+// missing sentinel and fine), and the segment must be a segment file name.
 func decodeStreamState(data []byte) (core.StreamState, int, string, error) {
 	var sj streamJSON
 	if err := json.Unmarshal(data, &sj); err != nil {
@@ -510,11 +523,6 @@ func decodeStreamState(data []byte) (core.StreamState, int, string, error) {
 	if sj.Result != nil {
 		state.Result = *sj.Result
 	}
-	if state.Fitted {
-		if err := validateStreamState(&state); err != nil {
-			return core.StreamState{}, 0, "", err
-		}
-	}
 	return state, sj.Refits, sj.Log, nil
 }
 
@@ -544,7 +552,7 @@ func (r *Registry) loadStreams() error {
 		if err != nil {
 			return fmt.Errorf("registry: reading stream %q: %w", id, err)
 		}
-		state, refits, log, err := decodeStreamState(data)
+		s, refits, log, err := restoreStream(data, r.opts.StreamFit)
 		if segID, _ := segmentOf(log); err == nil && log != "" && segID != id {
 			err = fmt.Errorf("segment %q belongs to stream %q", log, segID)
 		}
@@ -552,7 +560,6 @@ func (r *Registry) loadStreams() error {
 			r.quarantine(path, "stream", id, err)
 			continue
 		}
-		s := core.RestoreStream(r.opts.StreamFit, state)
 		r.configureStream(id, s)
 		st := &stream{id: id, s: s, refits: refits, owed: compactBoot}
 		if log != "" {
@@ -572,17 +579,6 @@ func (r *Registry) loadStreams() error {
 	})
 	r.opts.Metrics.setStreams(len(r.streams))
 	return nil
-}
-
-// validateStreamState sanity-checks a fitted snapshot by materialising its
-// model through the same validation Put applies.
-func validateStreamState(state *core.StreamState) error {
-	probe := core.RestoreStream(core.FitOptions{}, *state)
-	m := probe.Model()
-	if m == nil {
-		return errors.New("fitted snapshot has no model")
-	}
-	return m.Validate()
 }
 
 // encodeSeq maps missing ticks to JSON null.
