@@ -91,19 +91,21 @@ func (m *Model) ForecastBands(i, h int, obs []float64, nSim int, coverage float6
 	return band
 }
 
-// resampleStrength draws one of the observed non-zero strengths (0, without
-// drawing, when there is none). One draw is enough: all future occurrences
-// of a trajectory share it, which models "how strong will next year's event
-// be" rather than independent per-year noise.
+// resampleStrength draws one of the observed non-zero strengths. One draw
+// is enough: all future occurrences of a trajectory share it, which models
+// "how strong will next year's event be" rather than independent per-year
+// noise. A row the point forecast does not project — an ended event, or one
+// with no positive strength (futureStrength 0) — is not projected here
+// either: it returns 0 without drawing.
 func resampleStrength(observed []float64, rng *rand.Rand) float64 {
+	if futureStrength(observed) == 0 {
+		return 0
+	}
 	var pool []float64
 	for _, v := range observed {
 		if v > 0 {
 			pool = append(pool, v)
 		}
-	}
-	if len(pool) == 0 {
-		return 0
 	}
 	return pool[rng.Intn(len(pool))]
 }

@@ -94,6 +94,36 @@ func TestForecastBandsDegenerate(t *testing.T) {
 	}
 }
 
+// A cyclic shock whose last two occurrences were zero has ended: the point
+// forecast and PredictedEvents stop projecting it, and so must every
+// bootstrap trajectory. With the fitted curve as the observations the
+// residual pool is all zeros, so each trajectory is the point forecast and
+// the band has no width.
+func TestForecastBandsEndedEventNotProjected(t *testing.T) {
+	m := &Model{
+		Keywords: []string{"k"}, Locations: []string{"WW"}, Ticks: 260,
+		Global: []KeywordParams{{N: 100, Beta: 0.55, Delta: 0.475, Gamma: 0.425,
+			I0: 0.01, TEta: NoGrowth}},
+		Shocks: []Shock{{Keyword: 0, Period: 52, Start: 10, Width: 2,
+			Strength: []float64{8, 9, 8, 0, 0}}},
+	}
+	const h = 52
+	if ev := m.PredictedEvents(0, h); len(ev) != 0 {
+		t.Fatalf("PredictedEvents = %v, want none for an ended event", ev)
+	}
+	point := m.ForecastGlobal(0, h)
+	band := m.ForecastBands(0, h, m.SimulateGlobal(0, m.Ticks), 40, 0.8, 7)
+	for k, want := range point {
+		tol := 1e-9 * math.Max(1, want)
+		for _, got := range []float64{band.Lower[k], band.Median[k], band.Upper[k]} {
+			if math.Abs(got-want) > tol {
+				t.Fatalf("tick %d: band [%g, %g, %g], want the point forecast %g",
+					m.Ticks+k, band.Lower[k], band.Median[k], band.Upper[k], want)
+			}
+		}
+	}
+}
+
 func TestQuantileSorted(t *testing.T) {
 	s := []float64{1, 2, 3, 4, 5}
 	if quantileSorted(s, 0) != 1 || quantileSorted(s, 1) != 5 {

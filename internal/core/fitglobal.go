@@ -1,10 +1,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -121,23 +123,11 @@ type GlobalFitResult struct {
 // shock discovery, repeated while the total cost improves.
 func FitGlobalSequence(seq []float64, keyword int, opts FitOptions) (res GlobalFitResult, err error) {
 	opts = opts.withDefaults()
-	// Entry-point boundary: this is where FitSequence, the FitGlobal
-	// workers, and the stream refit path all funnel through, so validation
-	// and panic containment live here. NaN entries pass (they are the
-	// missing-value sentinel); Inf and negative counts are rejected with a
-	// typed numcheck error before any optimiser sees them.
 	defer recoverFitPanic(opts, keyword, -1, &err)
-	if verr := numcheck.Sequence("core: sequence", seq); verr != nil {
-		return GlobalFitResult{}, verr
+	st, err := newSequenceFit(seq, keyword, opts)
+	if err != nil {
+		return GlobalFitResult{}, err
 	}
-	if tensor.ObservedCount(seq) < 8 {
-		return GlobalFitResult{}, errors.New("core: sequence too short to fit")
-	}
-	norm, scale := tensor.Normalize(seq)
-	n := len(norm)
-
-	st := &gfit{seq: norm, n: n, keyword: keyword, opts: opts, ctx: opts.Context}
-	start := st.traceNow()
 	st.params = KeywordParams{TEta: NoGrowth}
 	st.fitBase(true)
 
@@ -176,32 +166,61 @@ func FitGlobalSequence(seq []float64, keyword int, opts FitOptions) (res GlobalF
 	if err := st.cancelErr(); err != nil {
 		return GlobalFitResult{}, fmt.Errorf("core: fit cancelled: %w", err)
 	}
-	params, shocks := best.params, best.shocks
-	params.N *= scale // back to raw counts
+	return st.result(best, bestCost, rounds)
+}
+
+// newSequenceFit is the entry both sequence fitters share, FitGlobalSequence
+// and ContinueGlobalSequence, and so every path to a keyword's fit: the
+// FitGlobal workers, FitSequence and the stream refits. Validation lives
+// here (with the panic containment each fitter defers first): NaN entries
+// pass, being the missing-value sentinel, while Inf and negative counts are
+// rejected with a typed numcheck error before any optimiser sees them, and
+// so is a sequence with fewer than 8 observed ticks. It returns the fit
+// state over the sequence normalised to [0, 1].
+func newSequenceFit(seq []float64, keyword int, opts FitOptions) (*gfit, error) {
+	if verr := numcheck.Sequence("core: sequence", seq); verr != nil {
+		return nil, verr
+	}
+	if tensor.ObservedCount(seq) < 8 {
+		return nil, errors.New("core: sequence too short to fit")
+	}
+	norm, scale := tensor.Normalize(seq)
+	g := &gfit{seq: norm, n: len(norm), scale: scale, keyword: keyword, opts: opts, ctx: opts.Context}
+	g.start = g.traceNow()
+	return g, nil
+}
+
+// result is the exit both sequence fitters share: it rescales the chosen
+// snapshot's population back to raw counts and emits the keyword's
+// StageKeyword event. A near-float-ceiling input (scale ~1e308) can push
+// the rescaled population past the float64 range even though every fitted
+// value was finite; the finite-parameters contract is then honoured with an
+// error rather than a non-finite model handed on to the registry.
+func (g *gfit) result(best gsnapshot, cost float64, rounds int) (GlobalFitResult, error) {
+	params := best.params
+	params.N *= g.scale
 	if math.IsInf(params.N, 0) || math.IsNaN(params.N) {
-		// A near-float-ceiling input (scale ~1e308) can push the rescaled
-		// population past the float64 range even though every fitted value
-		// was finite. Honour the finite-parameters contract with an error
-		// rather than handing a non-finite model to the registry.
 		return GlobalFitResult{}, fmt.Errorf(
-			"core: fitted population overflows at data scale %g", scale)
+			"core: fitted population overflows at data scale %g", g.scale)
 	}
-	if opts.Progress != nil {
-		opts.Progress(FitEvent{Stage: StageKeyword, Keyword: keyword, Location: -1,
-			Round: rounds, LMIters: st.lmIters, LMStalls: st.lmStalls,
-			Residual: bestCost, Duration: time.Since(start)})
+	if g.opts.Progress != nil {
+		g.opts.Progress(FitEvent{Stage: StageKeyword, Keyword: g.keyword, Location: -1,
+			Round: rounds, LMIters: g.lmIters, LMStalls: g.lmStalls,
+			Residual: cost, Duration: time.Since(g.start)})
 	}
-	return GlobalFitResult{Params: params, Shocks: shocks, Scale: scale, Cost: bestCost}, nil
+	return GlobalFitResult{Params: params, Shocks: best.shocks, Scale: g.scale, Cost: cost}, nil
 }
 
 // gfit is the mutable state of one global fit.
 type gfit struct {
 	seq     []float64 // normalised observations
 	n       int
+	scale   float64 // normalisation divisor of seq
 	keyword int
 	opts    FitOptions
 	ctx     context.Context // cooperative cancellation; nil = never cancelled
 	ctxErr  error           // sticky: first ctx.Err() observed
+	start   time.Time       // traceNow at entry: the keyword event's clock
 
 	params KeywordParams
 	shocks []Shock
@@ -224,13 +243,14 @@ type gfit struct {
 	sensBuf []float64
 }
 
-// evaluateCandidate's multi-start budget: of the 8 warm/masked/canonical
-// candidate starts, one forward simulation each (startSSE) keeps the
-// candKeep most promising by initial SSE (warm and masked always survive);
-// each survivor gets a candScreenIter-iteration screening LM run; and the
-// candPolish best screened results — ranked by MDL cost, the measure that
-// judges the final candidate — are polished with the remaining budget.
-// Initial SSE alone is too blunt an instrument to pick LM winners (a
+// evaluateCandidate's budget on multiStart's schedule: of the 8
+// warm/masked/canonical candidate starts, one forward simulation each
+// (startSSE) keeps the candKeep most promising by initial SSE (warm and
+// masked always survive); each survivor is screened for candScreenIter
+// iterations; and the candPolish best screened endpoints — ranked by MDL
+// cost, the measure that judges the final candidate — resume for
+// candPolishIter more. The un-refit warm start is scored before any of
+// them. Initial SSE alone is too blunt an instrument to pick LM winners (a
 // spiky-basin start can look terrible at its starting point yet win after
 // LM, which is why the base fit prunes per population-scale group instead —
 // see fitBaseIter), but it is safe for shaving the clearly hopeless tail
@@ -244,13 +264,15 @@ const (
 	candPolish     = 2
 )
 
-// fitGrowth's onset-search budget, the same two-phase schedule: every onset
-// the refining grid visits gets growthScreenIter iterations from each of its
-// two starts; the growthPolish best distinct onsets resume from their
-// screened endpoints with the rest of the growthFitIter budget; and each
-// neighbour of the closing ±1 hill-climb gets growthClimbIter from each of
-// its starts. The grid visits about two dozen onsets per scan and keeps
-// one, so nearly all of them are settled by the screening budget alone.
+// fitGrowth's onset-search budget. The onsets get their own two-phase
+// schedule, around jointGrowthFit's screen-only runs of multiStart: every
+// onset the refining grid visits gets growthScreenIter iterations from each
+// of its two starts; the growthPolish best distinct onsets resume from
+// their screened endpoints with the rest of the growthFitIter budget; and
+// each neighbour of the closing ±1 hill-climb gets growthClimbIter from
+// each of its starts. The grid visits about two dozen onsets per scan and
+// keeps one, so nearly all of them are settled by the screening budget
+// alone.
 const (
 	growthFitIter    = 80
 	growthScreenIter = 10
@@ -336,52 +358,137 @@ func (g *gfit) cancelErr() error {
 	return nil
 }
 
-// lmOpts builds the LM options for this fit's sub-problems, carrying the
-// cancellation context so a mid-fit cancel stops within one LM iteration.
-// jac is the analytic Jacobian of the sub-problem's residuals; it is
-// dropped — falling back to finite differences inside lm — when the caller
-// opted into FDJacobian. This is the only place internal/core constructs
-// lm.Options, which is what lets the FDJacobian switch (and the CI grep
-// gate guarding it) cover every production fit path at once.
-func (g *gfit) lmOpts(maxIter int, lo, hi []float64, jac lm.JacobianFunc) lm.Options {
-	o := lm.Options{MaxIter: maxIter, Lower: lo, Upper: hi, Ctx: g.ctx}
-	if !g.opts.FDJacobian {
-		o.Jacobian = jac
-	}
-	return o
+// lmProblem is one LM sub-problem of the global fit, stated once: assemble
+// maps an LM vector to the simulation inputs it stands for (the parameters
+// and the ε(t) profile, built in the gfit scratch buffers), specs names the
+// sensitivity lane of each vector entry, in order, and lo/hi is the box.
+type lmProblem struct {
+	assemble func(v []float64) (*KeywordParams, []float64)
+	specs    []SensSpec
+	lo, hi   []float64
 }
 
-// lmFit runs one LM sub-problem, folding its iteration count and stall
-// verdict into the fit's running totals (surfaced per stage and per keyword
-// as FitEvent.LMStalls). Every production LM call in this file goes through
-// here, so the stall accounting covers the analytic and FD paths alike.
-func (g *gfit) lmFit(resid lm.ResidualIntoFunc, p0 []float64, o lm.Options) (lm.Result, error) {
-	res, err := lm.FitInto(resid, p0, o)
-	if err == nil {
-		g.lmIters += res.Iterations
-		if res.Stalled {
-			g.lmStalls++
-		}
+// baseLo and baseHi box the base vector {N, β, δ, γ, i0} that leads the LM
+// vector of the base, growth and shock-candidate fits. lm and simulateSens
+// only read the package-level boxes and specs.
+var (
+	baseLo = []float64{1e-4, 1e-4, 1e-4, 1e-4, 1e-7}
+	baseHi = []float64{20, 5, 2, 2, 1}
+)
+
+// The growth fit's LM vector is the base vector followed by η₀ in [0, 10].
+var (
+	growthLo, growthHi = extendBox(baseLo, baseHi, 1, 0, 10)
+	growthSpecs        = append(BaseSensSpecs(), SensSpec{Param: SensEta0})
+)
+
+// extendBox returns the box lo/hi followed by k entries bounded by [l, h].
+func extendBox(lo, hi []float64, k int, l, h float64) ([]float64, []float64) {
+	lo = append(make([]float64, 0, len(lo)+k), lo...)
+	hi = append(make([]float64, 0, len(hi)+k), hi...)
+	for range k {
+		lo, hi = append(lo, l), append(hi, h)
 	}
-	return res, err
+	return lo, hi
 }
 
-// sensJacobian adapts one LM sub-problem to the analytic sensitivity
-// kernel: assemble maps the LM vector v to the simulation inputs (params +
-// ε profile, using the gfit scratch buffers), and specs names the
-// differentiated lane of each v entry, in order. Residuals are seq − sim,
-// so every sensitivity is negated in place. The returned closure writes
-// the full m×dim Jacobian that lm expects; rows at missing observations
-// are zeroed by the lm driver itself.
-func (g *gfit) sensJacobian(specs []SensSpec, assemble func(v []float64) (*KeywordParams, []float64)) lm.JacobianFunc {
-	return func(jac, v []float64) {
+// lmRunner returns the function that runs LM on pr from p0 for maxIter
+// iterations. It derives both closures LM needs from pr, once per problem:
+// the residuals seq − SimulateInto and their analytic Jacobian, the
+// simulateSens lanes negated (lm itself zeroes the rows at missing
+// observations). This is the only place internal/core builds lm.Options,
+// so one switch covers every production fit path: the Jacobian is dropped,
+// falling back to finite differences inside lm, when the caller opted into
+// FDJacobian, and the context stops a run within one LM iteration. Every
+// successful run's iterations and stall verdict are added to the fit's
+// totals (FitEvent.LMIters and LMStalls), on the analytic and FD paths
+// alike.
+func (g *gfit) lmRunner(pr lmProblem) func(p0 []float64, maxIter int) (lm.Result, error) {
+	assemble, specs := pr.assemble, pr.specs
+	resid := func(dst, v []float64) []float64 {
 		p, eps := assemble(v)
-		g.sensBuf = ensureLen(g.sensBuf, 3*len(specs))
-		g.simBuf, jac = simulateSens(g.simBuf, jac, g.sensBuf, p, g.n, eps, -1, specs)
-		for i := range jac {
-			jac[i] = -jac[i]
+		g.simBuf = SimulateInto(g.simBuf, p, g.n, eps, -1)
+		return residualsInto(dst, g.seq, g.simBuf)
+	}
+	opts := lm.Options{Lower: pr.lo, Upper: pr.hi, Ctx: g.ctx}
+	if !g.opts.FDJacobian {
+		opts.Jacobian = func(jac, v []float64) {
+			p, eps := assemble(v)
+			g.sensBuf = ensureLen(g.sensBuf, 3*len(specs))
+			g.simBuf, jac = simulateSens(g.simBuf, jac, g.sensBuf, p, g.n, eps, -1, specs)
+			for i := range jac {
+				jac[i] = -jac[i]
+			}
 		}
 	}
+	return func(p0 []float64, maxIter int) (lm.Result, error) {
+		o := opts
+		o.MaxIter = maxIter
+		res, err := lm.FitInto(resid, p0, o)
+		if err == nil {
+			g.lmIters += res.Iterations
+			if res.Stalled {
+				g.lmStalls++
+			}
+		}
+		return res, err
+	}
+}
+
+// schedule is the LM budget of a multi-start fit (DESIGN.md §11): every
+// start is screened for screen iterations, then the keep best screened
+// endpoints resume for polish more. A polish of 0 screens only.
+type schedule struct{ screen, polish, keep int }
+
+// bySSE scores an LM endpoint by its SSE, the base and growth fits' measure.
+func bySSE(_ []float64, sse float64) float64 { return sse }
+
+// multiStart runs pr from each start under sch, the two-phase schedule
+// every LM sub-problem of the global fit goes through, and returns the
+// endpoint with the lowest score, the first one on a tie, with that score
+// (nil and +Inf when no run succeeded). score rates the endpoint of each
+// successful run once, from its LM vector and LM's SSE there. Screening
+// runs the starts in order; each screened endpoint remains a valid answer,
+// and the polish runs resume the keep best of them by (score, screening
+// order), best first. Once the fit is cancelled no further run starts.
+func (g *gfit) multiStart(pr lmProblem, starts [][]float64, sch schedule,
+	score func(v []float64, sse float64) float64) ([]float64, float64) {
+	run := g.lmRunner(pr)
+	var best []float64
+	bestScore := math.Inf(1)
+	try := func(p0 []float64, iters int) ([]float64, float64, bool) {
+		if g.cancelled() {
+			return nil, 0, false
+		}
+		res, err := run(p0, iters)
+		if err != nil {
+			return nil, 0, false
+		}
+		sc := score(res.Params, res.SSE)
+		if sc < bestScore {
+			best, bestScore = res.Params, sc
+		}
+		return res.Params, sc, true
+	}
+	type endpoint struct {
+		v     []float64
+		score float64
+	}
+	var screened []endpoint
+	if sch.polish > 0 {
+		screened = make([]endpoint, 0, len(starts))
+	}
+	for _, s0 := range starts {
+		if v, sc, ok := try(s0, sch.screen); ok && sch.polish > 0 {
+			screened = append(screened, endpoint{v: v, score: sc})
+		}
+	}
+	// Stable, so equal scores keep their screening order.
+	slices.SortStableFunc(screened, func(a, b endpoint) int { return cmp.Compare(a.score, b.score) })
+	for _, e := range screened[:min(sch.keep, len(screened))] {
+		try(e.v, sch.polish)
+	}
+	return best, bestScore
 }
 
 type gsnapshot struct {
@@ -433,40 +540,33 @@ func (g *gfit) fitBase(multiStart bool) { g.fitBaseIter(multiStart, 120, true) }
 // of the multi-start set (one forward simulation per start keeps the best
 // start of each population-scale group — see the pruning block below). Both
 // the top-level base fits and the per-candidate masked fits prune; the
-// two-phase screen/polish loop underneath is what keeps pruning safe, since
-// every surviving start still gets a basin-ranking screening run before the
-// full budget is committed.
+// two-phase schedule underneath is what keeps pruning safe, since every
+// surviving start still gets a basin-ranking screening run before the full
+// budget is committed.
 func (g *gfit) fitBaseIter(multiStart bool, maxIter int, prune bool) {
 	t0 := g.traceNow()
 	itersBefore, stallsBefore := g.lmIters, g.lmStalls
 	eps := g.epsilon()
-	resid := func(dst, p []float64) []float64 {
-		cand := g.params
-		cand.N, cand.Beta, cand.Delta, cand.Gamma, cand.I0 = p[0], p[1], p[2], p[3], p[4]
-		g.simBuf = SimulateInto(g.simBuf, &cand, g.n, eps, -1)
-		return residualsInto(dst, g.seq, g.simBuf)
-	}
-	var jp KeywordParams
-	jacFn := g.sensJacobian(BaseSensSpecs(), func(v []float64) (*KeywordParams, []float64) {
-		jp = g.params
-		jp.N, jp.Beta, jp.Delta, jp.Gamma, jp.I0 = v[0], v[1], v[2], v[3], v[4]
-		return &jp, eps
-	})
-	lo := []float64{1e-4, 1e-4, 1e-4, 1e-4, 1e-7}
-	hi := []float64{20, 5, 2, 2, 1}
+	var cand KeywordParams
+	pr := lmProblem{specs: BaseSensSpecs(), lo: baseLo, hi: baseHi,
+		assemble: func(v []float64) (*KeywordParams, []float64) {
+			cand = g.withBase(v)
+			return &cand, eps
+		}}
 
-	type start [5]float64
-	starts := []start{{g.params.N, g.params.Beta, g.params.Delta, g.params.Gamma, g.params.I0}}
+	starts := [][]float64{{g.params.N, g.params.Beta, g.params.Delta, g.params.Gamma, g.params.I0}}
 	if g.params.N == 0 { // uninitialised: seed from the data
 		m := stats.Mean(g.seq)
 		if m <= 0 {
 			m = 0.1
 		}
 		i0 := math.Max(g.seq[0], 1e-4)
-		starts = []start{{math.Max(2*m, 0.05), 0.5, 0.45, 0.5, i0}}
+		starts = [][]float64{{math.Max(2*m, 0.05), 0.5, 0.45, 0.5, i0}}
 	}
-	var groups [][2]int // index ranges of the fast-mixing contact-rate sweeps
+	sch := schedule{screen: maxIter} // a warm single start: one full-budget run
+	var groups [][2]int              // index ranges of the fast-mixing contact-rate sweeps
 	if multiStart {
+		sch = schedule{screen: 10, polish: maxIter - 10, keep: 2}
 		base := starts[0]
 		// Data-derived initial infective fraction: the first observations
 		// divided by the population scale, so fast-mixing starts begin at
@@ -489,11 +589,11 @@ func (g *gfit) fitBaseIter(multiStart bool, maxIter int, prune bool) {
 			}
 			lo := len(starts)
 			for _, b := range []float64{0.2, 1.0, 2.5} {
-				starts = append(starts, start{n0, b, 0.45, 0.5, i0Est})
+				starts = append(starts, []float64{n0, b, 0.45, 0.5, i0Est})
 			}
 			groups = append(groups, [2]int{lo, len(starts)})
 		}
-		starts = append(starts, start{base[0], 0.5, 0.05, 0.05, base[4]}) // slow-mixing
+		starts = append(starts, []float64{base[0], 0.5, 0.05, 0.05, base[4]}) // slow-mixing
 	}
 	if prune && len(groups) > 0 {
 		// Pruning, one LM run per basin: the basins of the base fit are
@@ -504,9 +604,7 @@ func (g *gfit) fitBaseIter(multiStart bool, maxIter int, prune bool) {
 		// start can look terrible at its starting point yet win after LM.
 		sses := make([]float64, len(starts))
 		for i, s0 := range starts {
-			p := g.params
-			p.N, p.Beta, p.Delta, p.Gamma, p.I0 = s0[0], s0[1], s0[2], s0[3], s0[4]
-			sses[i] = g.startSSE(&p, eps)
+			sses[i] = g.startSSE(pr.assemble(s0))
 		}
 		keep := make(map[int]bool, len(groups)+2)
 		keep[0] = true
@@ -520,7 +618,7 @@ func (g *gfit) fitBaseIter(multiStart bool, maxIter int, prune bool) {
 			}
 			keep[best] = true
 		}
-		pruned := make([]start, 0, len(keep))
+		pruned := make([][]float64, 0, len(keep))
 		for i, s0 := range starts {
 			if keep[i] {
 				pruned = append(pruned, s0)
@@ -529,72 +627,21 @@ func (g *gfit) fitBaseIter(multiStart bool, maxIter int, prune bool) {
 		starts = pruned
 	}
 
-	bestSSE := math.Inf(1)
-	var bestParams []float64
-	if len(starts) == 1 {
-		// Warm single-start refit: one full-budget run, no phasing.
-		res, err := g.lmFit(resid,
-			[]float64{starts[0][0], starts[0][1], starts[0][2], starts[0][3], starts[0][4]},
-			g.lmOpts(maxIter, lo, hi, jacFn))
-		if err == nil {
-			bestSSE, bestParams = res.SSE, res.Params
-		}
-	} else {
-		// Two-phase multi-start, as in evaluateCandidate: short screening
-		// runs rank the basins (each screened result remains a valid
-		// answer), then the best two resume with the remaining budget.
-		const screenIter, polishKeep = 10, 2
-		type screened struct {
-			params []float64
-			sse    float64
-			idx    int
-		}
-		scr := make([]screened, 0, len(starts))
-		for _, s0 := range starts {
-			if g.cancelled() {
-				break
-			}
-			p0 := []float64{s0[0], s0[1], s0[2], s0[3], s0[4]}
-			res, err := g.lmFit(resid, p0, g.lmOpts(screenIter, lo, hi, jacFn))
-			if err != nil {
-				continue
-			}
-			if res.SSE < bestSSE {
-				bestSSE = res.SSE
-				bestParams = res.Params
-			}
-			scr = append(scr, screened{params: res.Params, sse: res.SSE, idx: len(scr)})
-		}
-		sort.Slice(scr, func(a, b int) bool {
-			if scr[a].sse != scr[b].sse {
-				return scr[a].sse < scr[b].sse
-			}
-			return scr[a].idx < scr[b].idx
-		})
-		if len(scr) > polishKeep {
-			scr = scr[:polishKeep]
-		}
-		for _, sc := range scr {
-			if g.cancelled() {
-				break
-			}
-			res, err := g.lmFit(resid, sc.params, g.lmOpts(maxIter-screenIter, lo, hi, jacFn))
-			if err != nil {
-				continue
-			}
-			if res.SSE < bestSSE {
-				bestSSE = res.SSE
-				bestParams = res.Params
-			}
-		}
-	}
-	if bestParams != nil {
-		g.params.N, g.params.Beta, g.params.Delta = bestParams[0], bestParams[1], bestParams[2]
-		g.params.Gamma, g.params.I0 = bestParams[3], bestParams[4]
+	best, bestSSE := g.multiStart(pr, starts, sch, bySSE)
+	if best != nil {
+		g.params = g.withBase(best)
 	}
 	g.emit(FitEvent{Stage: StageBase, Keyword: g.keyword, Location: -1,
 		LMIters: g.lmIters - itersBefore, LMStalls: g.lmStalls - stallsBefore,
 		Residual: bestSSE, Duration: sinceIfTraced(g, t0)})
+}
+
+// withBase returns the fit's parameters with the base vector v[:5] in
+// place of {N, β, δ, γ, i0}.
+func (g *gfit) withBase(v []float64) KeywordParams {
+	p := g.params
+	p.N, p.Beta, p.Delta, p.Gamma, p.I0 = v[0], v[1], v[2], v[3], v[4]
+	return p
 }
 
 // sinceIfTraced returns the elapsed time since start when tracing is on.
@@ -772,36 +819,16 @@ func (g *gfit) growthStarts(tEta int, eps []float64) [][]float64 {
 // endpoint (the first start at +Inf SSE when every run fails). eps is the
 // shock profile, fixed for the whole growth search.
 func (g *gfit) jointGrowthFit(tEta int, eps []float64, maxIter int, starts ...[]float64) growthFit {
-	build := func(v []float64) KeywordParams {
-		return growthFit{tEta: tEta, v: v}.params()
+	var cand KeywordParams
+	v, sse := g.multiStart(lmProblem{specs: growthSpecs, lo: growthLo, hi: growthHi,
+		assemble: func(v []float64) (*KeywordParams, []float64) {
+			cand = growthFit{tEta: tEta, v: v}.params()
+			return &cand, eps
+		}}, starts, schedule{screen: maxIter}, bySSE)
+	if v == nil {
+		v = starts[0]
 	}
-	resid := func(dst, v []float64) []float64 {
-		cand := build(v)
-		g.simBuf = SimulateInto(g.simBuf, &cand, g.n, eps, -1)
-		return residualsInto(dst, g.seq, g.simBuf)
-	}
-	var jp KeywordParams
-	jacFn := g.sensJacobian(append(BaseSensSpecs(), SensSpec{Param: SensEta0}),
-		func(v []float64) (*KeywordParams, []float64) {
-			jp = build(v)
-			return &jp, eps
-		})
-	lo := []float64{1e-4, 1e-4, 1e-4, 1e-4, 1e-7, 0}
-	hi := []float64{20, 5, 2, 2, 1, 10}
-	best := growthFit{tEta: tEta, v: starts[0], sse: math.Inf(1)}
-	for _, s0 := range starts {
-		if g.cancelled() {
-			break
-		}
-		res, err := g.lmFit(resid, s0, g.lmOpts(maxIter, lo, hi, jacFn))
-		if err != nil {
-			continue
-		}
-		if res.SSE < best.sse {
-			best.v, best.sse = res.Params, res.SSE
-		}
-	}
-	return best
+	return growthFit{tEta: tEta, v: v, sse: sse}
 }
 
 // detectShocks greedily adds external shocks while the MDL cost improves
@@ -1034,48 +1061,30 @@ func (g *gfit) evaluateCandidate(s Shock) (Shock, KeywordParams, float64) {
 	occ := len(s.Strength)
 	others := g.shocks // fixed, already-accepted shocks
 
-	build := func(v []float64) (KeywordParams, []float64) {
-		p := KeywordParams{N: v[0], Beta: v[1], Delta: v[2], Gamma: v[3], I0: v[4],
-			Eta0: g.params.Eta0, TEta: g.params.TEta}
-		return p, v[5 : 5+occ]
-	}
-	// The accepted shocks are fixed for the whole candidate evaluation, so
-	// their ε(t) contribution is computed once; each residual evaluation
-	// copies it and layers only the candidate's occurrences on top. The
-	// candidate is added last, exactly as a full rebuild over others+cand
-	// would, keeping the profile bit-identical to the allocating path.
+	// The LM vector is the base vector followed by the candidate's
+	// strengths. The accepted shocks are fixed for the whole candidate
+	// evaluation, so their ε(t) contribution is computed once; each
+	// assembly copies it and layers only the candidate's occurrences on top.
+	// The candidate is added last, exactly as a full rebuild over
+	// others+cand would, keeping the profile bit-identical to the
+	// allocating path.
 	g.epsBase = epsilonInto(ensureLen(g.epsBase, g.n), 0, others, false, nil)
 	epsBase := g.epsBase
-	candEps := func(strengths []float64) []float64 {
-		cand := s
-		cand.Strength = strengths
-		g.epsBuf = ensureLen(g.epsBuf, g.n)
-		copy(g.epsBuf, epsBase)
-		addShockEpsilon(g.epsBuf, 0, &cand, 0)
-		return g.epsBuf
-	}
-	resid := func(dst, v []float64) []float64 {
-		p, strengths := build(v)
-		g.simBuf = SimulateInto(g.simBuf, &p, g.n, candEps(strengths), -1)
-		return residualsInto(dst, g.seq, g.simBuf)
-	}
 	specs := BaseSensSpecs()
 	for m := 0; m < occ; m++ {
 		specs = append(specs, StrengthSpec(&s, m, g.n))
 	}
-	var jp KeywordParams
-	jacFn := g.sensJacobian(specs, func(v []float64) (*KeywordParams, []float64) {
-		var strengths []float64
-		jp, strengths = build(v)
-		return &jp, candEps(strengths)
-	})
-	lo := make([]float64, 5+occ)
-	hi := make([]float64, 5+occ)
-	copy(lo, []float64{1e-4, 1e-4, 1e-4, 1e-4, 1e-7})
-	copy(hi, []float64{20, 5, 2, 2, 1})
-	for i := 5; i < len(hi); i++ {
-		hi[i] = maxShockStrength
-	}
+	lo, hi := extendBox(baseLo, baseHi, occ, 0, maxShockStrength)
+	var p KeywordParams
+	cand := s
+	pr := lmProblem{specs: specs, lo: lo, hi: hi,
+		assemble: func(v []float64) (*KeywordParams, []float64) {
+			p, cand.Strength = g.withBase(v), v[5:]
+			g.epsBuf = ensureLen(g.epsBuf, g.n)
+			copy(g.epsBuf, epsBase)
+			addShockEpsilon(g.epsBuf, 0, &cand, 0)
+			return &p, g.epsBuf
+		}}
 
 	// Warm start: current base + windowed golden strengths.
 	warm := s
@@ -1125,12 +1134,11 @@ func (g *gfit) evaluateCandidate(s Shock) (Shock, KeywordParams, float64) {
 		// (each with its own strengths layered onto the shared base ε). The
 		// warm and masked starts (indices 0 and 1) are exempt — the masked
 		// start exists precisely because its basin beats its initial SSE —
-		// and the bar is deliberately loose: the screening runs below do the
-		// real basin ranking.
+		// and the bar is deliberately loose: the screening runs do the real
+		// basin ranking.
 		sses := make([]float64, len(starts))
 		for i, v := range starts {
-			p, strengths := build(v)
-			sses[i] = g.startSSE(&p, candEps(strengths))
+			sses[i] = g.startSSE(pr.assemble(v))
 		}
 		keep := bestStartIdx(sses, candKeep, 2)
 		pruned := make([][]float64, 0, len(keep))
@@ -1140,85 +1148,44 @@ func (g *gfit) evaluateCandidate(s Shock) (Shock, KeywordParams, float64) {
 		starts = pruned
 	}
 
-	// Each start is judged by the MDL cost of its fitted result — not by
+	// Each endpoint is judged by the MDL cost of its fitted result — not by
 	// SSE. The acceptance gate downstream is MDL, and an extra start with
 	// marginally lower SSE but a costlier description must not displace a
 	// cheaper one; under cost-based selection, adding starts is strictly
 	// non-harmful.
-	savedParams, savedShocks := g.params, g.shocks
-	costOf := func(v []float64) (Shock, KeywordParams, float64) {
-		p, strengths := build(v)
+	shockOf := func(v []float64) Shock {
 		out := s
 		out.Strength = make([]float64, occ)
-		for i, sv := range strengths {
+		for i, sv := range v[5:] {
 			if sv < 1e-3 {
 				sv = 0
 			}
 			out.Strength[i] = sv
 		}
-		g.params = p
-		g.shocks = append(append([]Shock(nil), others...), out)
+		return out
+	}
+	savedParams, savedShocks := g.params, g.shocks
+	costOf := func(v []float64, _ float64) float64 {
+		g.params = g.withBase(v)
+		g.shocks = append(append([]Shock(nil), others...), shockOf(v))
 		c := g.cost()
 		g.params, g.shocks = savedParams, savedShocks
-		return out, p, c
-	}
-
-	bestCost := math.Inf(1)
-	var bestShock Shock
-	bestParams := g.params
-	consider := func(v []float64) float64 {
-		out, p, c := costOf(v)
-		if c < bestCost {
-			bestCost, bestShock, bestParams = c, out, p
-		}
 		return c
 	}
-	consider(p0) // the un-refit warm start is itself a valid candidate
-
-	// Screening phase: a short LM run from every start, each result scored
-	// (and kept as a valid candidate — the polish phase can only improve on
-	// the screened best).
-	type screened struct {
-		params []float64
-		cost   float64
-		idx    int
+	// The un-refit warm start is itself a valid candidate, scored first.
+	var best []float64
+	bestCost := math.Inf(1)
+	if c := costOf(p0, 0); c < bestCost {
+		best, bestCost = p0, c
 	}
-	scr := make([]screened, 0, len(starts))
-	for _, st := range starts {
-		if g.cancelled() {
-			break
-		}
-		res, err := g.lmFit(resid, st, g.lmOpts(candScreenIter, lo, hi, jacFn))
-		if err != nil {
-			continue
-		}
-		scr = append(scr, screened{params: res.Params, cost: consider(res.Params),
-			idx: len(scr)})
+	sch := schedule{screen: candScreenIter, polish: candPolishIter, keep: candPolish}
+	if v, c := g.multiStart(pr, starts, sch, costOf); c < bestCost {
+		best, bestCost = v, c
 	}
-
-	// Polish phase: the best screened results get the remaining iteration
-	// budget, resumed from their screened endpoints. Ties break on screening
-	// order, so the selection is deterministic.
-	sort.Slice(scr, func(a, b int) bool {
-		if scr[a].cost != scr[b].cost {
-			return scr[a].cost < scr[b].cost
-		}
-		return scr[a].idx < scr[b].idx
-	})
-	if len(scr) > candPolish {
-		scr = scr[:candPolish]
+	if best == nil {
+		return Shock{}, g.params, bestCost
 	}
-	for _, sc := range scr {
-		if g.cancelled() {
-			break
-		}
-		res, err := g.lmFit(resid, sc.params, g.lmOpts(candPolishIter, lo, hi, jacFn))
-		if err != nil {
-			continue
-		}
-		consider(res.Params)
-	}
-	return bestShock, bestParams, bestCost
+	return shockOf(best), g.withBase(best), bestCost
 }
 
 // shockSeedLevel picks the residual level above which a run is considered a
@@ -1270,17 +1237,10 @@ func (g *gfit) fitShockStrengths(s *Shock) {
 	copy(working, g.shocks)
 	working[len(working)-1] = *s
 	self := &working[len(working)-1]
-	// ε(t) cache: one full build up front, then only the perturbed
-	// occurrence's window is re-derived per objective evaluation (and once
-	// more when its fitted strength is committed, so the profile stays
-	// current for the next occurrence).
 	g.epsBuf = epsilonInto(ensureLen(g.epsBuf, g.n), 0, working, false, nil)
-	// Checkpointed simulation: occurrences are fitted in time order and
-	// Strength[m] only perturbs ε(t) inside its own window, so the state
-	// entering the window never depends on the value being searched. The
-	// checkpoint advances monotonically to each window start; per golden
-	// evaluation only [wstart, wend) is re-simulated from it — bit-identical
-	// to a full re-simulation, since SimulateInto runs the same kernel.
+	// Occurrence m only perturbs ε(t) from its own start on, so the state
+	// entering it never depends on the value being searched: the checkpoint
+	// advances monotonically from one occurrence start to the next.
 	g.simBuf = ensureLen(g.simBuf, g.n)
 	k := newKernel(&g.params, -1)
 	ckpt, at := k.x0, 0
@@ -1288,25 +1248,38 @@ func (g *gfit) fitShockStrengths(s *Shock) {
 		if g.cancelled() {
 			break
 		}
-		// SSE over the window influenced by occurrence m.
-		wstart, wend := occurrenceSpan(s, m, g.n)
-		occEps := g.epsBuf[wstart:min(wstart+s.Width, g.n)]
-		ckpt = k.run(ckpt, at, g.epsBuf[at:wstart], g.simBuf[at:wstart])
-		at = wstart
-		obj := func(str float64) float64 {
-			self.Strength[m] = str
-			epsilonInto(occEps, wstart, working, false, nil)
-			k.run(ckpt, wstart, g.epsBuf[wstart:wend], g.simBuf[wstart:wend])
-			return stats.SSE(g.seq[wstart:wend], g.simBuf[wstart:wend])
-		}
-		strength, _, _ := optimize.GoldenCtx(g.ctx, obj, 0, strengthSeedHi, 1e-3, 60)
-		if strength < 1e-3 {
-			strength = 0
-		}
-		self.Strength[m] = strength
-		epsilonInto(occEps, wstart, working, false, nil)
+		lo := self.OccurrenceStart(m)
+		ckpt = k.run(ckpt, at, g.epsBuf[at:lo], g.simBuf[at:lo])
+		at = lo
+		g.searchStrength(&k, ckpt, working, self, m, strengthSeedHi)
 	}
 	s.Strength = append(s.Strength[:0], self.Strength...)
+}
+
+// searchStrength golden-searches [0, hi] for the strength of occurrence m
+// of s, one of shocks, that minimises the SSE over the ticks the
+// occurrence influences (occurrenceSpan), and commits it: s.Strength[m]
+// holds the result, 0 below 1e-3, and g.epsBuf stays the full ε(t) profile
+// of shocks, which it must be on entry. k simulates the fit's parameters
+// and ckpt is its state entering the occurrence. Each golden step rebuilds
+// only the occurrence's own ε(t) ticks and re-simulates only its span from
+// ckpt, bit-identical to a full re-simulation, since both run the same
+// kernel from the same state.
+func (g *gfit) searchStrength(k *sivKernel, ckpt sivPoint, shocks []Shock, s *Shock, m int, hi float64) {
+	lo, end := occurrenceSpan(s, m, g.n)
+	occEps := g.epsBuf[lo:min(lo+s.Width, g.n)]
+	obj := func(str float64) float64 {
+		s.Strength[m] = str
+		epsilonInto(occEps, lo, shocks, false, nil)
+		k.run(ckpt, lo, g.epsBuf[lo:end], g.simBuf[lo:end])
+		return stats.SSE(g.seq[lo:end], g.simBuf[lo:end])
+	}
+	strength, _, _ := optimize.GoldenCtx(g.ctx, obj, 0, hi, 1e-3, 60)
+	if strength < 1e-3 {
+		strength = 0
+	}
+	s.Strength[m] = strength
+	epsilonInto(occEps, lo, shocks, false, nil)
 }
 
 // refineStrengths jointly polishes all occurrence strengths with LM after
@@ -1314,47 +1287,33 @@ func (g *gfit) fitShockStrengths(s *Shock) {
 func (g *gfit) refineStrengths() {
 	var idx [][2]int // (shock, occurrence) for each parameter
 	var p0 []float64
+	var specs []SensSpec
 	for si := range g.shocks {
 		for m, v := range g.shocks[si].Strength {
 			if v > 0 {
 				idx = append(idx, [2]int{si, m})
 				p0 = append(p0, v)
+				specs = append(specs, StrengthSpec(&g.shocks[si], m, g.n))
 			}
 		}
 	}
 	if len(p0) == 0 {
 		return
 	}
-	lo := make([]float64, len(p0))
-	hi := make([]float64, len(p0))
-	for i := range hi {
-		hi[i] = maxShockStrength
+	lo, hi := extendBox(nil, nil, len(p0), 0, maxShockStrength)
+	pr := lmProblem{specs: specs, lo: lo, hi: hi,
+		assemble: func(v []float64) (*KeywordParams, []float64) {
+			for i, id := range idx {
+				g.shocks[id[0]].Strength[id[1]] = v[i]
+			}
+			g.epsBuf = epsilonInto(ensureLen(g.epsBuf, g.n), 0, g.shocks, false, nil)
+			return &g.params, g.epsBuf
+		}}
+	best, _ := g.multiStart(pr, [][]float64{p0}, schedule{screen: 60}, bySSE)
+	if best == nil {
+		best = p0 // restore
 	}
-	resid := func(dst, p []float64) []float64 {
-		for i, id := range idx {
-			g.shocks[id[0]].Strength[id[1]] = p[i]
-		}
-		g.epsBuf = epsilonInto(ensureLen(g.epsBuf, g.n), 0, g.shocks, false, nil)
-		g.simBuf = SimulateInto(g.simBuf, &g.params, g.n, g.epsBuf, -1)
-		return residualsInto(dst, g.seq, g.simBuf)
-	}
-	specs := make([]SensSpec, len(idx))
-	for i, id := range idx {
-		specs[i] = StrengthSpec(&g.shocks[id[0]], id[1], g.n)
-	}
-	jacFn := g.sensJacobian(specs, func(v []float64) (*KeywordParams, []float64) {
-		for i, id := range idx {
-			g.shocks[id[0]].Strength[id[1]] = v[i]
-		}
-		g.epsBuf = epsilonInto(ensureLen(g.epsBuf, g.n), 0, g.shocks, false, nil)
-		return &g.params, g.epsBuf
-	})
-	res, err := g.lmFit(resid, p0, g.lmOpts(60, lo, hi, jacFn))
-	if err != nil {
-		resid(nil, p0) // restore
-		return
-	}
-	resid(nil, res.Params)
+	pr.assemble(best)
 }
 
 // maskedBaseParams fits the base parameters against the sequence with the

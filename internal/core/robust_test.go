@@ -57,6 +57,32 @@ func TestContinueGlobalSequenceRejectsInf(t *testing.T) {
 	}
 }
 
+// A warm refit keeps the finite-parameters contract the cold fit keeps:
+// when the fitted population overflows on its way back to raw counts (the
+// data scale is near the float64 ceiling), the refit errors instead of
+// returning N = +Inf.
+func TestContinueGlobalSequenceRejectsOverflow(t *testing.T) {
+	seq := bumpySeq(60)
+	res, err := FitGlobalSequence(seq, 0, FitOptions{})
+	if err != nil {
+		t.Fatalf("FitGlobalSequence: %v", err)
+	}
+	// 40 more ticks of the same series scaled to a peak of 1.7e308.
+	peak := 0.0
+	for _, v := range seq {
+		peak = math.Max(peak, v)
+	}
+	longer := append([]float64(nil), seq...)
+	for _, v := range seq[:40] {
+		longer = append(longer, v*(1.7e308/peak))
+	}
+	cont, err := ContinueGlobalSequence(longer, 0, res, FitOptions{})
+	if err == nil || !strings.Contains(err.Error(), "overflows") {
+		t.Fatalf("ContinueGlobalSequence at data scale 1.7e308: N = %g, err = %v; want the overflow error",
+			cont.Params.N, err)
+	}
+}
+
 func TestFitGlobalValidatesTensor(t *testing.T) {
 	x := tensor.New([]string{"a", "b"}, []string{"us"}, 40)
 	for t0 := 0; t0 < 40; t0++ {

@@ -5,10 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"time"
 
-	"dspot/internal/numcheck"
-	"dspot/internal/optimize"
 	"dspot/internal/tensor"
 )
 
@@ -33,17 +30,11 @@ const scaleDriftLimit = 1.25
 func ContinueGlobalSequence(seq []float64, keyword int, prev GlobalFitResult, opts FitOptions) (res GlobalFitResult, err error) {
 	opts = opts.withDefaults()
 	defer recoverFitPanic(opts, keyword, -1, &err)
-	if verr := numcheck.Sequence("core: sequence", seq); verr != nil {
-		return GlobalFitResult{}, verr
+	st, err := newSequenceFit(seq, keyword, opts)
+	if err != nil {
+		return GlobalFitResult{}, err
 	}
-	if tensor.ObservedCount(seq) < 8 {
-		return GlobalFitResult{}, errors.New("core: sequence too short to fit")
-	}
-	norm, scale := tensor.Normalize(seq)
-	n := len(norm)
-
-	st := &gfit{seq: norm, n: n, keyword: keyword, opts: opts, ctx: opts.Context}
-	start := st.traceNow()
+	n, scale := st.n, st.scale
 	st.params = prev.Params
 	if scale > 0 {
 		st.params.N = prev.Params.N / scale // back into normalised space
@@ -129,34 +120,29 @@ func ContinueGlobalSequence(seq []float64, keyword int, prev GlobalFitResult, op
 		}
 	}
 
-	params, shocks := best.params, best.shocks
-	params.N *= scale
-	if opts.Progress != nil {
-		opts.Progress(FitEvent{Stage: StageKeyword, Keyword: keyword, Location: -1,
-			Round: rounds, LMIters: st.lmIters, LMStalls: st.lmStalls,
-			Residual: bestCost, Duration: time.Since(start)})
-	}
-	return GlobalFitResult{Params: params, Shocks: shocks, Scale: scale, Cost: bestCost}, nil
+	return st.result(best, bestCost, rounds)
 }
 
 // refineStrengthsAll re-fits every occurrence strength by windowed golden
-// search — cheap polish for strengths seeded from historical means.
+// search — cheap polish for strengths seeded from historical means. Each
+// search re-simulates only the occurrence's own span, from a checkpoint
+// that one kernel run over the ticks before it provides.
 func (g *gfit) refineStrengthsAll() {
+	g.epsBuf = epsilonInto(ensureLen(g.epsBuf, g.n), 0, g.shocks, false, nil)
+	g.simBuf = ensureLen(g.simBuf, g.n)
+	k := newKernel(&g.params, -1)
 	for si := range g.shocks {
-		if g.cancelled() {
-			return
-		}
 		s := &g.shocks[si]
 		for m := range s.Strength {
 			if g.cancelled() {
 				return
 			}
-			wstart, wend := occurrenceSpan(s, m, g.n)
-			if wstart >= g.n {
+			lo := s.OccurrenceStart(m)
+			if lo >= g.n {
 				continue
 			}
-			best := fitOneStrength(g, s, m, wstart, wend)
-			s.Strength[m] = best
+			ckpt := k.run(k.x0, 0, g.epsBuf[:lo], g.simBuf[:lo])
+			g.searchStrength(&k, ckpt, g.shocks, s, m, maxShockStrength)
 		}
 	}
 }
@@ -738,36 +724,4 @@ func (s *Stream) Forecast(h int) []float64 {
 		return nil
 	}
 	return s.inc.forecast(s.result.Shocks, &s.result.Params, h)
-}
-
-// fitOneStrength is the shared windowed golden fit for one occurrence. The
-// search runs up to maxShockStrength — it used to stop at 60, silently
-// clipping strengths the local fit (bounded by 80) had legitimately
-// accepted. Only occurrence m's strength varies across evaluations, so the
-// ε(t) profile is built once and just that occurrence's window is
-// re-derived per step.
-func fitOneStrength(g *gfit, s *Shock, m, wstart, wend int) float64 {
-	g.epsBuf = epsilonInto(ensureLen(g.epsBuf, g.n), 0, g.shocks, false, nil)
-	occEps := g.epsBuf[wstart:min(wstart+s.Width, g.n)]
-	save := s.Strength[m]
-	obj := func(str float64) float64 {
-		s.Strength[m] = str
-		epsilonInto(occEps, wstart, g.shocks, false, nil)
-		g.simBuf = SimulateInto(g.simBuf, &g.params, g.n, g.epsBuf, -1)
-		sse := 0.0
-		for t := wstart; t < wend; t++ {
-			if tensor.IsMissing(g.seq[t]) {
-				continue
-			}
-			d := g.seq[t] - g.simBuf[t]
-			sse += d * d
-		}
-		return sse
-	}
-	best, _, _ := optimize.GoldenCtx(g.ctx, obj, 0, maxShockStrength, 1e-3, 60)
-	s.Strength[m] = save
-	if best < 1e-3 {
-		return 0
-	}
-	return best
 }

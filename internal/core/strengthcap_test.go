@@ -7,8 +7,8 @@ import (
 
 // The refiners' shared strength ceiling. evaluateCandidate and
 // refineStrengths already searched up to 80 while the incremental
-// warm-start path (fitOneStrength) silently clipped at 60 — a strength the
-// batch fitter happily assigned would be truncated on the very next
+// warm-start path (refineStrengthsAll) silently clipped at 60 — a strength
+// the batch fitter happily assigned would be truncated on the very next
 // streaming refit. The constant pins the unified cap.
 func TestMaxShockStrengthCap(t *testing.T) {
 	if maxShockStrength != 80 {
@@ -16,9 +16,9 @@ func TestMaxShockStrengthCap(t *testing.T) {
 	}
 }
 
-// Regression for the 60-vs-80 clipping bug: fitOneStrength must recover a
-// true strength of 70, which the old [0, 60] golden bracket could never
-// reach.
+// Regression for the 60-vs-80 clipping bug: the warm refit's strength
+// polish must recover a true strength of 70, which the old [0, 60] golden
+// bracket could never reach.
 func TestFitOneStrengthRecoversAboveOldCap(t *testing.T) {
 	const n = 120
 	const trueStrength = 70.0
@@ -35,16 +35,13 @@ func TestFitOneStrengthRecoversAboveOldCap(t *testing.T) {
 	// Warm-start state: right shock shape, strength unknown (zero).
 	g := &gfit{seq: seq, n: n, params: p,
 		shocks: []Shock{{Keyword: 0, Period: NonCyclic, Start: 10, Width: 5, Strength: []float64{0}}}}
-	s := &g.shocks[0]
-	got := fitOneStrength(g, s, 0, s.Start, n)
+	g.refineStrengthsAll()
+	got := g.shocks[0].Strength[0]
 
 	if got <= 60 {
-		t.Fatalf("fitOneStrength = %g, want ≈%g — a value above the old cap of 60", got, trueStrength)
+		t.Fatalf("refineStrengthsAll = %g, want ≈%g — a value above the old cap of 60", got, trueStrength)
 	}
 	if math.Abs(got-trueStrength) > 1 {
-		t.Fatalf("fitOneStrength = %g, want within 1 of %g", got, trueStrength)
-	}
-	if s.Strength[0] != 0 {
-		t.Fatalf("fitOneStrength must restore the saved strength; got %g", s.Strength[0])
+		t.Fatalf("refineStrengthsAll = %g, want within 1 of %g", got, trueStrength)
 	}
 }

@@ -464,6 +464,79 @@ func TestStreamAppendPersistRestore(t *testing.T) {
 	}
 }
 
+// A warm refit whose fitted population overflows at the data scale (values
+// near the float64 ceiling) fails the append instead of committing N = +Inf:
+// the stream keeps its last good, valid model, and the ticks of that append
+// and of every later one persist and survive a reopen.
+func TestStreamOverflowingRefitKeepsModelAndPersists(t *testing.T) {
+	opts := Options{DataDir: t.TempDir()}
+	r, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	// A level plus one bump, then the same ticks scaled to a peak of 1.7e308.
+	series := make([]float64, 60)
+	for i := range series {
+		series[i] = 2 + math.Sin(float64(i)/5)
+		if i >= 30 && i < 33 {
+			series[i] += 6
+		}
+	}
+	peak := 0.0
+	for _, v := range series {
+		peak = math.Max(peak, v)
+	}
+	huge := make([]float64, 40)
+	for i := range huge {
+		huge[i] = series[i] * (1.7e308 / peak)
+	}
+	if st, err := r.AppendStream(ctx, "s", series, AppendOptions{RefitEvery: 20}); err != nil || !st.Refitted {
+		t.Fatalf("cold fit append: status %+v, err %v", st, err)
+	}
+	if _, err := r.AppendStream(ctx, "s", huge, AppendOptions{}); err == nil {
+		t.Fatal("the append whose refit overflows succeeded; want the refit's error")
+	}
+	validModel := func(r *Registry) {
+		t.Helper()
+		m, err := r.StreamModel("s")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coreOf(t, m).Validate(); err != nil {
+			t.Fatalf("stream model after the overflowing refit: %v", err)
+		}
+	}
+	validModel(r)
+	for i := 0; i < 5; i++ {
+		if _, err := r.AppendStream(ctx, "s", huge[i:i+1], AppendOptions{}); err != nil {
+			t.Fatalf("append %d after the failed refit: %v", i, err)
+		}
+	}
+	fc, err := r.StreamForecast("s", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	r2, err := Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st, err := r2.StreamStatusFor("s"); err != nil || st.Len != 105 || !st.Ready {
+		t.Fatalf("reopened stream: status %+v, err %v; want 105 ready ticks", st, err)
+	}
+	validModel(r2)
+	fc2, err := r2.StreamForecast("s", 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range fc {
+		if fc[i] != fc2[i] {
+			t.Fatalf("forecast diverges after reopen at %d: %g vs %g", i, fc[i], fc2[i])
+		}
+	}
+}
+
 func TestStreamAppendValidation(t *testing.T) {
 	r, err := Open(Options{})
 	if err != nil {
