@@ -45,7 +45,7 @@ bench:
 
 # The fast micro-benchmarks only (seconds, not the multi-minute figure
 # benchmarks): the hot-path kernels the performance work targets.
-BENCH_MICRO = Simulate576|^BenchmarkJacobian$$|LevenbergMarquardt|GlobalFitSequence|^BenchmarkGlobalFitGrowth$$|^BenchmarkForecast$$|MDLCost|RMSE576|^BenchmarkStreamAppend$$|^BenchmarkStreamForecast$$
+BENCH_MICRO = Simulate576|^BenchmarkJacobian$$|LevenbergMarquardt|^BenchmarkLMWideCandidate$$|GlobalFitSequence|^BenchmarkGlobalFitGrowth$$|^BenchmarkFitLocal$$|^BenchmarkForecast$$|MDLCost|RMSE576|^BenchmarkStreamAppend$$|^BenchmarkStreamForecast$$
 bench-micro:
 	$(GO) test -bench='$(BENCH_MICRO)' -benchmem -run XXX .
 

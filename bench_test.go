@@ -11,6 +11,7 @@ package dspot
 // capability matrix) is qualitative and documented in README.md instead.
 
 import (
+	"math"
 	"sort"
 	"sync"
 	"testing"
@@ -321,6 +322,96 @@ func BenchmarkLevenbergMarquardt(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := lm.FitInto(resid, []float64{0.5, 0.3, 0.3, 0.3, 0.01}, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLMWideCandidate measures one LM fit of a shock candidate's
+// vector at the width a 104-tick cold fit reaches: the 5 base parameters
+// plus one strength for each of the 26 occurrences of a period-4 shock, 31
+// in all, boxed as the fitters box them. It runs the production path:
+// lm.FitInto with the residuals (observed − simulated) written into LM's
+// buffers and the negated analytic Jacobian of SimulateWithSensitivities.
+// A strength's Jacobian column is zero until its occurrence starts, so 42%
+// of this Jacobian's entries are exact zeros.
+func BenchmarkLMWideCandidate(b *testing.B) {
+	const n, base = 104, 5
+	shock := core.Shock{Keyword: 0, Period: 4, Start: 2, Width: 1}
+	occ := shock.Occurrences(n)
+	specs := core.BaseSensSpecs()
+	for m := 0; m < occ; m++ {
+		specs = append(specs, core.StrengthSpec(&shock, m, n))
+	}
+	eps := make([]float64, n)
+	assemble := func(v []float64) KeywordParams {
+		for t := range eps {
+			eps[t] = 1
+		}
+		for m, s := range v[base:] {
+			eps[shock.OccurrenceStart(m)] += s
+		}
+		return KeywordParams{N: v[0], Beta: v[1], Delta: v[2], Gamma: v[3], I0: v[4],
+			TEta: NoGrowth}
+	}
+	truthV := []float64{1, 0.55, 0.475, 0.425, 0.01}
+	for m := 0; m < occ; m++ {
+		truthV = append(truthV, float64(2+m%5))
+	}
+	truth := assemble(truthV)
+	obs := core.Simulate(&truth, n, eps, -1)
+	for t := range obs {
+		obs[t] *= 1 + 0.03*math.Sin(1.7*float64(t))
+	}
+	resid := func(dst, v []float64) []float64 {
+		p := assemble(v)
+		dst = core.SimulateInto(dst, &p, n, eps, -1)
+		for t := range dst {
+			dst[t] = obs[t] - dst[t]
+		}
+		return dst
+	}
+	sim := make([]float64, n)
+	jac := func(jac, v []float64) {
+		p := assemble(v)
+		core.SimulateWithSensitivities(sim, jac, &p, n, eps, -1, specs)
+		for i := range jac {
+			jac[i] = -jac[i]
+		}
+	}
+	p0 := []float64{0.5, 0.3, 0.3, 0.3, 0.01}
+	lo := []float64{1e-4, 1e-4, 1e-4, 1e-4, 1e-7}
+	hi := []float64{20, 5, 2, 2, 1}
+	for m := 0; m < occ; m++ {
+		p0, lo, hi = append(p0, 4), append(lo, 0), append(hi, 80)
+	}
+	opts := lm.Options{MaxIter: 50, Jacobian: jac, Lower: lo, Upper: hi}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := lm.FitInto(resid, p0, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFitLocal measures the local stage (Algorithm 3) alone: FitLocal
+// over the 8 locations of a 260-tick keyword whose global model was fitted
+// once, outside the timer. Each run refills the model's local parameters.
+func BenchmarkFitLocal(b *testing.B) {
+	truth, err := SyntheticGoogleTrendsKeyword("grammy",
+		SyntheticConfig{Locations: 8, Ticks: 260, Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	x := truth.Tensor
+	opts := Options{Workers: 1}
+	m, err := FitGlobal(x, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := FitLocal(x, m, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -168,6 +168,18 @@ func simulateSens(dst, jacDst, scratch []float64, p *KeywordParams, n int,
 	}
 	beta, delta, gamma := k.beta, k.delta, k.gamma
 
+	// A strength lane starts at the all-+0 state and gets no direct term
+	// before its window opens at Lo. Until then each of its updates adds,
+	// subtracts and multiplies ±0 products into +0, which stays +0 under
+	// round-to-nearest — as long as every coefficient it multiplies by (ci,
+	// cs, δ, γ and, under renormalisation, itot; sN, iN, vN and the clamp
+	// subgradients always are) is finite, since Inf·0 = NaN. calm records
+	// that every tick so far had finite coefficients; while it holds, a lane
+	// with t < Lo writes N·(+0) and skips its recurrence, and from the first
+	// tick without it on every lane runs in full, so the Jacobian is
+	// bit-identical to the full recurrence's.
+	calm := delta-delta == 0 && gamma-gamma == 0
+
 	for t := 0; t < n; t++ {
 		e := 1.0
 		eValid := true // ε(t) passed through unsanitised (strength lanes live)
@@ -331,16 +343,23 @@ func simulateSens(dst, jacDst, scratch []float64, p *KeywordParams, n int,
 			}
 		}
 
+		if tail < np {
+			calm = calm && ci-ci == 0 && cs-cs == 0 && itot-itot == 0
+		}
 		for j := tail; j < np; j++ {
 			// ∂out[t]/∂θ_j = N·∂i/∂θ_j with the lane state *entering* the
 			// tick (out[t] was computed from that same state above), plus
 			// the direct i(t) term on the N lane.
 			jj := row + j
 			jac[jj] = N * dI[j]
+			sp := &specs[j]
+			if calm && t < sp.Lo && sp.Param == SensStrength {
+				continue // a late lane's +0 state maps to +0: see calm
+			}
 			dinf := ci*dS[j] + cs*dI[j]
 			dlose := delta * dI[j]
 			dwake := gamma * dV[j]
-			switch sp := &specs[j]; sp.Param {
+			switch sp.Param {
 			case SensN:
 				if nValid {
 					jac[jj] += i

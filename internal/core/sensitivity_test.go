@@ -3,7 +3,10 @@ package core
 import (
 	"encoding/binary"
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
+	"testing/quick"
 )
 
 // The analytic sensitivity kernel makes two promises, each pinned here:
@@ -567,5 +570,190 @@ func TestSensitivitySpecializedMatchesGeneric(t *testing.T) {
 			}
 			assertBitEqual(t, tc.name+"/lane", colS, colG)
 		}
+	}
+}
+
+// lateLaneCase is one draw of the late-strength-lane property: parameters
+// that are mostly clean but cover every input newKernel sanitises (N = ±0
+// among them) and coefficients that overflow, an ε profile that is nil,
+// clean or dirty (NaN, ±Inf, 1e308), and 1–40 strength windows opening at
+// tick 0, mid-series or at or past the end, mixed into the other lanes in a
+// random order.
+type lateLaneCase struct {
+	N     int
+	P     KeywordParams
+	Rate  float64
+	Eps   []float64
+	Specs []SensSpec
+}
+
+func (lateLaneCase) Generate(r *rand.Rand, _ int) reflect.Value {
+	n := 1 + r.Intn(130)
+	inf, nan := math.Inf(1), math.NaN()
+	c := lateLaneCase{N: n, Rate: -1, P: KeywordParams{N: 100 * r.Float64(), Beta: r.Float64(),
+		Delta: r.Float64(), Gamma: r.Float64(), I0: 0.05 * r.Float64(), TEta: NoGrowth}}
+	if r.Intn(3) == 0 {
+		c.P.N = pick(r, 0, math.Copysign(0, -1), nan, inf, -r.Float64())
+	}
+	if r.Intn(4) == 0 {
+		c.P.Beta = pick(r, 40*r.Float64(), 1e300, inf, nan)
+		c.P.Delta = pick(r, r.Float64(), inf, nan)
+		c.P.Gamma = pick(r, r.Float64(), inf, nan)
+	}
+	if r.Intn(3) == 0 {
+		c.P.Eta0, c.P.TEta = pick(r, 0, r.Float64(), inf), r.Intn(n+2)
+		c.Rate = pick(r, -1, 0.2*r.Float64(), nan)
+	}
+	if kind := r.Intn(3); kind > 0 { // 0: nil, 1: clean, 2: dirty
+		c.Eps = make([]float64, n)
+		for t := range c.Eps {
+			c.Eps[t] = 1
+			if r.Intn(5) == 0 {
+				c.Eps[t] += 20 * r.Float64()
+			}
+			if kind == 2 && r.Intn(10) == 0 {
+				c.Eps[t] = pick(r, nan, inf, -inf, 1e308)
+			}
+		}
+	}
+	if r.Intn(2) == 0 {
+		c.Specs = append(BaseSensSpecs(), SensSpec{Param: SensEta0})
+	}
+	for k := 1 + r.Intn(40); k > 0; k-- {
+		lo := []int{0, r.Intn(n), n + r.Intn(3)}[r.Intn(3)]
+		c.Specs = append(c.Specs, SensSpec{Param: SensStrength, Lo: lo, Hi: min(lo+1+r.Intn(4), n)})
+	}
+	if r.Intn(2) == 0 {
+		r.Shuffle(len(c.Specs), func(i, j int) { c.Specs[i], c.Specs[j] = c.Specs[j], c.Specs[i] })
+	}
+	return reflect.ValueOf(c)
+}
+
+// fullRecurrenceSens is simulateSens before strength lanes skipped their
+// ticks ahead of the window: every lane through the generic per-lane loop,
+// on every tick.
+func fullRecurrenceSens(p *KeywordParams, n int, eps []float64, growthRate float64,
+	specs []SensSpec) (out, jac []float64) {
+	np := len(specs)
+	out, jac = make([]float64, n), make([]float64, n*np)
+	dS, dI, dV := make([]float64, np), make([]float64, np), make([]float64, np)
+	k := newKernel(p, growthRate)
+	N, onePlusEta, gStart := k.N, k.onePlusEta, k.gStart
+	s, i, v := k.x0.s, k.x0.i, k.x0.v
+	nValid := N == p.N
+	i0Valid := i == p.I0
+	etaOwn := growthRate < 0
+	etaValid := onePlusEta == 1+p.Eta0
+	for j, sp := range specs {
+		if sp.Param == SensI0 && i0Valid {
+			dI[j], dS[j] = 1, -1
+		}
+	}
+	beta, delta, gamma := k.beta, k.delta, k.gamma
+	for t := 0; t < n; t++ {
+		e, eValid := 1.0, true
+		if eps != nil {
+			e = eps[t]
+			if math.IsNaN(e) || math.IsInf(e, 0) {
+				e, eValid = 1, false
+			}
+		}
+		growth := t >= gStart
+		out[t] = N * i
+		factor := 1.0
+		if growth {
+			factor = onePlusEta
+		}
+		infect := beta * s * e * i * factor
+		lose := delta * i
+		wake := gamma * v
+		sc, mS := clampGrad(s - infect + wake)
+		ic, mI := clampGrad(i + infect - lose)
+		vc, mV := clampGrad(v + lose - wake)
+		tot := sc + ic + vc
+		sN, iN, vN := sc, ic, vc
+		if tot > 0 && tot != 1 {
+			sN, iN, vN = sc/tot, ic/tot, vc/tot
+		}
+		itot := 0.0
+		if tot > 0 {
+			itot = 1 / tot
+		}
+		ci := beta * e * factor * i
+		cs := beta * e * factor * s
+		seiF := s * e * i * factor
+		bsiF := beta * s * i * factor
+		var etaBonus float64
+		if growth && etaOwn && etaValid {
+			etaBonus = beta * s * e * i
+		}
+		for j := 0; j < np; j++ {
+			jj := t*np + j
+			jac[jj] = N * dI[j]
+			dinf := ci*dS[j] + cs*dI[j]
+			dlose := delta * dI[j]
+			dwake := gamma * dV[j]
+			switch sp := &specs[j]; sp.Param {
+			case SensN:
+				if nValid {
+					jac[jj] += i
+				}
+			case SensBeta:
+				dinf += seiF
+			case SensDelta:
+				dlose += i
+			case SensGamma:
+				dwake += v
+			case SensEta0:
+				dinf += etaBonus
+			case SensStrength:
+				if eValid && t >= sp.Lo && t < sp.Hi {
+					dinf += bsiF
+				}
+			}
+			ds1 := (dS[j] - dinf + dwake) * mS
+			di1 := (dI[j] + dinf - dlose) * mI
+			dv1 := (dV[j] + dlose - dwake) * mV
+			if tot > 0 {
+				dtot := ds1 + di1 + dv1
+				ds1 = (ds1 - sN*dtot) * itot
+				di1 = (di1 - iN*dtot) * itot
+				dv1 = (dv1 - vN*dtot) * itot
+			}
+			dS[j], dI[j], dV[j] = ds1, di1, dv1
+		}
+		s, i, v = sN, iN, vN
+	}
+	return out, jac
+}
+
+// sameBitsUpToNaN is sameBits with every NaN equal to every other: a NaN's
+// sign and payload depend on which operand the compiled code puts first, and
+// the LM driver zeroes NaN Jacobian entries whatever their bits.
+func sameBitsUpToNaN(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) && !(a[i] != a[i] && b[i] != b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// A strength lane skips its recurrence before its window opens while the
+// tick's shared coefficients are finite; its Jacobian column must still be
+// the full recurrence's bit for bit (±0 told apart, NaNs alike), through
+// dirty ε, sanitised inputs and overflowing coefficients.
+func TestSensitivityLateStrengthLanesMatchFullRecurrence(t *testing.T) {
+	prop := func(c lateLaneCase) bool {
+		wantOut, wantJac := fullRecurrenceSens(&c.P, c.N, c.Eps, c.Rate, c.Specs)
+		out, jac := SimulateWithSensitivities(nil, nil, &c.P, c.N, c.Eps, c.Rate, c.Specs)
+		return sameBitsUpToNaN(out, wantOut) && sameBitsUpToNaN(jac, wantJac)
+	}
+	cfg := &quick.Config{MaxCount: 1500, Rand: rand.New(rand.NewSource(23))}
+	if err := quick.Check(prop, cfg); err != nil {
+		t.Fatal(err)
 	}
 }

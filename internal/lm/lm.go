@@ -151,10 +151,81 @@ func Fit(f ResidualFunc, p0 []float64, opts Options) (Result, error) {
 // FitInto is Fit over a buffer-reusing residual function: the driver owns
 // three residual buffers (current, Jacobian probe, damped trial) and passes
 // them back to f, so a well-behaved f makes the whole run allocate a fixed
-// amount of memory independent of the iteration count. The search itself is
+// amount of memory independent of the iteration count. The driver's
+// buffers are reused from run to run, so a repeat run no larger than an
+// earlier one allocates only its Result's Params. The search itself is
 // identical to Fit's — same steps, same results.
 func FitInto(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 	return fitCore(f, p0, opts)
+}
+
+// workspace is fitCore's scratch: the parameter, Jacobian, normal-equation,
+// Cholesky and residual buffers of one run. A run takes one from the pool,
+// sizes it to its own residual length m and parameter count dim (a buffer
+// is reallocated only when it is too small) and hands it back, so a
+// schedule of many short LM runs, like the global fit's screened and
+// polished starts, reuses the buffers of the runs before it. Every buffer
+// is written before it is read within a run, so nothing carries over.
+type workspace struct {
+	p, pTrial, delta, jtr, cholY []float64    // dim
+	jtj, damped, cholL           []float64    // dim×dim
+	jac                          []float64    // m×dim, row-major
+	resid                        [3][]float64 // m: current, probe and trial residuals
+	z                            []int        // dim: each Jacobian column's first non-zero row
+}
+
+// workspaces holds the idle workspaces. It is a buffered channel rather
+// than a sync.Pool because a sync.Pool may drop any Put (under the race
+// detector it drops one in four on purpose), which would make whether a
+// repeat run allocates a matter of chance. Its 16 slots cover the LM runs
+// a process has in flight at once (a fit runs 4 workers by default, and a
+// server runs a few fits side by side) and bound what idle workspaces
+// keep: one sized for the widest problem the fitters build, 576 ticks by
+// about 120 parameters, holds under 1 MB. A workspace returned to a full
+// pool is left to the collector.
+var workspaces = make(chan *workspace, 16)
+
+func getWorkspace() *workspace {
+	select {
+	case ws := <-workspaces:
+		return ws
+	default:
+		return new(workspace)
+	}
+}
+
+func putWorkspace(ws *workspace) {
+	select {
+	case workspaces <- ws:
+	default:
+	}
+}
+
+// size fits every buffer but p to an m×dim problem.
+func (ws *workspace) size(m, dim int) {
+	ws.pTrial = grow(ws.pTrial, dim)
+	ws.delta = grow(ws.delta, dim)
+	ws.jtr = grow(ws.jtr, dim)
+	ws.cholY = grow(ws.cholY, dim)
+	ws.jtj = grow(ws.jtj, dim*dim)
+	ws.damped = grow(ws.damped, dim*dim)
+	ws.cholL = grow(ws.cholL, dim*dim)
+	ws.jac = grow(ws.jac, m*dim)
+	for k := range ws.resid {
+		ws.resid[k] = grow(ws.resid[k], m)
+	}
+	if cap(ws.z) < dim {
+		ws.z = make([]int, dim)
+	}
+	ws.z = ws.z[:dim]
+}
+
+// grow returns b resliced to length n, or a fresh slice when b is too small.
+func grow(b []float64, n int) []float64 {
+	if cap(b) < n {
+		return make([]float64, n)
+	}
+	return b[:n]
 }
 
 func fitCore(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
@@ -166,9 +237,12 @@ func fitCore(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 		return Result{}, err
 	}
 
-	p := append([]float64(nil), p0...)
+	ws := getWorkspace()
+	defer putWorkspace(ws)
+	ws.p = append(ws.p[:0], p0...)
+	p := ws.p
 	opts.clamp(p)
-	r := f(nil, p)
+	r := f(ws.resid[0], p)
 	m := len(r)
 	if m == 0 {
 		return Result{}, errors.New("lm: empty residual vector")
@@ -183,20 +257,10 @@ func fitCore(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 	}
 
 	lambda := opts.Lambda0
-	jac := make([]float64, m*dim) // row-major m×dim
-	jtj := make([]float64, dim*dim)
-	jtr := make([]float64, dim)
-	pTrial := make([]float64, dim)
-	// Scratch hoisted out of the iteration and damping loops: residual
-	// buffers for the Jacobian probes and damped trials, the damped normal
-	// matrix, and the Cholesky solve's workspace. Nothing below this point
-	// allocates per iteration (given a buffer-honouring f).
-	probeBuf := make([]float64, m)
-	trialBuf := make([]float64, m)
-	damped := make([]float64, dim*dim)
-	delta := make([]float64, dim)
-	cholL := make([]float64, dim*dim)
-	cholY := make([]float64, dim)
+	ws.size(m, dim)
+	jac, jtj, jtr := ws.jac, ws.jtj, ws.jtr
+	pTrial, damped, delta, cholL, cholY := ws.pTrial, ws.damped, ws.delta, ws.cholL, ws.cholY
+	probeBuf, trialBuf := ws.resid[1], ws.resid[2]
 
 	res := Result{Params: append([]float64(nil), p...), SSE: cur}
 	for iter := 0; iter < opts.MaxIter; iter++ {
@@ -212,25 +276,9 @@ func fitCore(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 
 		if opts.Jacobian != nil {
 			// Analytic Jacobian: one sensitivity pass replaces the dim
-			// probe evaluations below. The FD path zeroes missing-row and
-			// non-finite entries as it fills; the analytic path gets the
-			// same sanitisation in one sweep — the JᵀJ accumulation has no
-			// NaN guard and relies on those zeros.
+			// probe evaluations below; normalEquations zeroes its
+			// missing-row and non-finite entries.
 			opts.Jacobian(jac, p)
-			for i := 0; i < m; i++ {
-				row := jac[i*dim : i*dim+dim]
-				if ri := r[i]; ri != ri {
-					for j := range row {
-						row[j] = 0
-					}
-					continue
-				}
-				for j, d := range row {
-					if d-d != 0 { // NaN or ±Inf
-						row[j] = 0
-					}
-				}
-			}
 		} else {
 			// Forward-difference Jacobian of the residuals.
 			for j := 0; j < dim; j++ {
@@ -268,53 +316,19 @@ func fitCore(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 				if len(rj) != m {
 					return res, errors.New("lm: residual length changed between calls")
 				}
+				// A NaN residual on either side (missing observation) or a
+				// probe that blew up to ±Inf leaves a non-finite entry,
+				// which says nothing about the local slope; normalEquations
+				// records it as missing.
 				inv := 1 / h
 				for i := 0; i < m; i++ {
-					d := (rj[i] - r[i]) * inv
-					// d-d is 0 only for finite d: a NaN residual on either
-					// side (missing observation) or a probe that blew up to
-					// ±Inf says nothing about the local slope, so the entry
-					// is recorded as missing rather than poisoning the
-					// normal equations. One subtract replaces the separate
-					// NaN/Inf tests on this very hot loop.
-					if d-d != 0 {
-						d = 0
-					}
-					jac[i*dim+j] = d
+					jac[i*dim+j] = (rj[i] - r[i]) * inv
 				}
 			}
 		}
 
-		// Normal equations: (JᵀJ + λ·diag(JᵀJ))·δ = Jᵀr. Each cell of Jᵀr
-		// and of JᵀJ's upper triangle is one dot product accumulated in a
-		// register, walking the row-major m×dim Jacobian down its columns
-		// with stride dim; the lower triangle is mirrored afterwards. Every
-		// cell sums its terms in ascending-i order, so the result is
-		// bit-identical to any other assembly in that order. Rows with a NaN
-		// residual carry all-zero Jacobian entries (set during the fill
-		// above), and adding +0 terms never changes a running sum, so only
-		// Jᵀr needs the explicit NaN guard.
-		for a := 0; a < dim; a++ {
-			sr := 0.0
-			for i, ia := 0, a; i < m; i, ia = i+1, ia+dim {
-				if ri := r[i]; ri == ri {
-					sr += jac[ia] * ri
-				}
-			}
-			jtr[a] = sr
-			for b := a; b < dim; b++ {
-				s := 0.0
-				for ia, ib := a, b; ia < len(jac); ia, ib = ia+dim, ib+dim {
-					s += jac[ia] * jac[ib]
-				}
-				jtj[a*dim+b] = s
-			}
-		}
-		for a := 0; a < dim; a++ { // mirror upper triangle
-			for b := 0; b < a; b++ {
-				jtj[a*dim+b] = jtj[b*dim+a]
-			}
-		}
+		// Normal equations: (JᵀJ + λ·diag(JᵀJ))·δ = Jᵀr.
+		normalEquations(jtj, jtr, ws.z, jac, r, m, dim)
 
 		improved := false
 		for lambda <= opts.MaxLambda {
