@@ -18,7 +18,7 @@ test-short:
 	$(GO) test -short ./...
 
 race:
-	$(GO) test -race -run 'TestFitEndToEnd|TestFitGlobalOnly|TestStream|TestFitTraceConcurrent|TestFitGlobalSequenceCancel|TestFitCtx|TestFitCancel|TestFitLocalBoundsGoroutines|TestFitGlobalContainsWorkerPanic|TestFitLocalContainsCellPanic' ./internal/core/
+	$(GO) test -race -run 'TestFitEndToEnd|TestFitGlobalOnly|TestStream|TestFitTraceConcurrent|TestFitGlobalSequenceCancel|TestFitCtx|TestFitCancel|TestFitLocalBoundsGoroutines|TestFitGlobalContainsWorkerPanic|TestFitLocalContainsCellPanic|TestFitWorkerCountInvariant|TestMultiStart|TestFitGlobalSequenceBoundsGoroutines' ./internal/core/
 	$(GO) test -race -run 'TestMetrics|TestMiddleware|TestConcurrentStatefulTraffic|TestJobFitCancel|TestJobFitTrace|TestReadyz|TestConcurrentSpans|TestRecorderSlowTraceRetention|TestRecorderKeepsOpenTrace|TestRuntimeCollector' ./internal/service/ ./internal/obs/...
 	$(GO) test -race ./internal/registry/ ./internal/jobs/ ./internal/faultfs/
 	$(GO) test -race ./internal/lm/ ./internal/optimize/ ./internal/numcheck/
@@ -45,7 +45,7 @@ bench:
 
 # The fast micro-benchmarks only (seconds, not the multi-minute figure
 # benchmarks): the hot-path kernels the performance work targets.
-BENCH_MICRO = Simulate576|^BenchmarkJacobian$$|LevenbergMarquardt|^BenchmarkLMWideCandidate$$|GlobalFitSequence|^BenchmarkGlobalFitGrowth$$|^BenchmarkFitLocal$$|^BenchmarkForecast$$|MDLCost|RMSE576|^BenchmarkStreamAppend$$|^BenchmarkStreamForecast$$
+BENCH_MICRO = Simulate576|^BenchmarkJacobian$$|LevenbergMarquardt|^BenchmarkLMWideCandidate$$|GlobalFitSequence|^BenchmarkGlobalFitGrowth$$|^BenchmarkFitLocal$$|^BenchmarkForecast$$|MDLCost|RMSE576|^BenchmarkStreamAppend$$|^BenchmarkStreamForecast$$|^BenchmarkStreamColdFit$$
 bench-micro:
 	$(GO) test -bench='$(BENCH_MICRO)' -benchmem -run XXX .
 

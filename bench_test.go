@@ -12,6 +12,7 @@ package dspot
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"sync"
 	"testing"
@@ -331,8 +332,8 @@ func BenchmarkLevenbergMarquardt(b *testing.B) {
 // vector at the width a 104-tick cold fit reaches: the 5 base parameters
 // plus one strength for each of the 26 occurrences of a period-4 shock, 31
 // in all, boxed as the fitters box them. It runs the production path:
-// lm.FitInto with the residuals (observed − simulated) written into LM's
-// buffers and the negated analytic Jacobian of SimulateWithSensitivities.
+// lm.FitInto with the residuals (simulated − observed) written into LM's
+// buffers and the analytic Jacobian of SimulateWithSensitivities.
 // A strength's Jacobian column is zero until its occurrence starts, so 42%
 // of this Jacobian's entries are exact zeros.
 func BenchmarkLMWideCandidate(b *testing.B) {
@@ -367,7 +368,7 @@ func BenchmarkLMWideCandidate(b *testing.B) {
 		p := assemble(v)
 		dst = core.SimulateInto(dst, &p, n, eps, -1)
 		for t := range dst {
-			dst[t] = obs[t] - dst[t]
+			dst[t] -= obs[t]
 		}
 		return dst
 	}
@@ -375,9 +376,6 @@ func BenchmarkLMWideCandidate(b *testing.B) {
 	jac := func(jac, v []float64) {
 		p := assemble(v)
 		core.SimulateWithSensitivities(sim, jac, &p, n, eps, -1, specs)
-		for i := range jac {
-			jac[i] = -jac[i]
-		}
 	}
 	p0 := []float64{0.5, 0.3, 0.3, 0.3, 0.01}
 	lo := []float64{1e-4, 1e-4, 1e-4, 1e-4, 1e-7}
@@ -645,6 +643,48 @@ func BenchmarkStreamForecast(b *testing.B) {
 			b.Fatalf("forecast has %d ticks", len(f))
 		}
 	}
+}
+
+// BenchmarkStreamColdFit measures a served stream's first append: the
+// 104-tick cold fit of an ingest-like series (SIV dynamics driven by a
+// yearly event, 3% noise) through core.Stream at default options, so at
+// the default budget of 4 workers, which the fit's concurrent LM starts
+// use. servebench's ingest set-up is four such fits.
+func BenchmarkStreamColdFit(b *testing.B) {
+	seq := yearlyEventSeries(104)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s := core.NewIncrementalStream(core.FitOptions{}, 1_000_000, core.IncrementalConfig{})
+		if _, err := s.Append(seq...); err != nil {
+			b.Fatal(err)
+		}
+		if !s.Ready() {
+			b.Fatal("stream not fitted by its first append")
+		}
+	}
+}
+
+// yearlyEventSeries synthesises n ticks of SIV dynamics driven by a
+// three-tick yearly event (period 52, strength 6), with Gaussian noise at
+// 3% of the peak.
+func yearlyEventSeries(n int) []float64 {
+	eps := make([]float64, n)
+	for t := range eps {
+		eps[t] = 1
+		if t%52 >= 20 && t%52 < 23 {
+			eps[t] += 6
+		}
+	}
+	p := core.KeywordParams{N: 100, Beta: 0.55, Delta: 0.475, Gamma: 0.425, I0: 0.01,
+		TEta: core.NoGrowth}
+	seq := core.Simulate(&p, n, eps, -1)
+	noise := 0.03 * stats.Max(seq)
+	rng := rand.New(rand.NewSource(1))
+	for t := range seq {
+		seq[t] = math.Max(seq[t]+noise*rng.NormFloat64(), 0)
+	}
+	return seq
 }
 
 // BenchmarkStreamAppendBatch is the refit-cadence baseline: the same

@@ -21,7 +21,9 @@ func TestFitGlobalSequenceCancelMidFitReturnsPromptly(t *testing.T) {
 	// context would keep running for a long time.
 	var once sync.Once
 	var cancelledAt atomic.Int64
-	opts := FitOptions{DisableGrowth: true, Context: ctx}
+	// Workers 4: the fit's LM starts run concurrently, and a cancel must
+	// still stop them within one LM iteration each.
+	opts := FitOptions{DisableGrowth: true, Workers: 4, Context: ctx}
 	opts.Progress = func(ev FitEvent) {
 		if ev.Stage == StageBase {
 			once.Do(func() {
@@ -59,16 +61,18 @@ func TestFitCtxPreCancelledReturnsImmediately(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	start := time.Now()
-	m, err := FitCtx(ctx, x, FitOptions{Workers: 2})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if m != nil {
-		t.Fatalf("cancelled fit returned a model")
-	}
-	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("pre-cancelled fit still ran for %v", elapsed)
+	for _, workers := range []int{2, 4} {
+		start := time.Now()
+		m, err := FitCtx(ctx, x, FitOptions{Workers: workers})
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Workers %d: err = %v, want context.Canceled", workers, err)
+		}
+		if m != nil {
+			t.Fatalf("Workers %d: cancelled fit returned a model", workers)
+		}
+		if elapsed := time.Since(start); elapsed > 5*time.Second {
+			t.Fatalf("Workers %d: pre-cancelled fit still ran for %v", workers, elapsed)
+		}
 	}
 }
 
@@ -81,18 +85,20 @@ func TestFitCancelDuringLocalPhase(t *testing.T) {
 			x.Set(0, j, ti, v*(1+0.2*float64(j)))
 		}
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	var once sync.Once
-	opts := FitOptions{Workers: 1, DisableGrowth: true, Context: ctx}
-	opts.Progress = func(ev FitEvent) {
-		if ev.Stage == StageLocalCell {
-			once.Do(cancel) // global phase done; cancel mid-local
+	for _, workers := range []int{1, 4} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var once sync.Once
+		opts := FitOptions{Workers: workers, DisableGrowth: true, Context: ctx}
+		opts.Progress = func(ev FitEvent) {
+			if ev.Stage == StageLocalCell {
+				once.Do(cancel) // global phase done; cancel mid-local
+			}
 		}
-	}
-	_, err := Fit(x, opts)
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
+		_, err := Fit(x, opts)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Workers %d: err = %v, want context.Canceled", workers, err)
+		}
 	}
 }
 

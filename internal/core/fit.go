@@ -99,9 +99,25 @@ func recoverFitPanic(opts FitOptions, keyword, location int, dst *error) {
 		return
 	}
 	if *dst == nil {
-		*dst = fmt.Errorf("core: fit panicked: %v", rec)
+		*dst = &fitPanic{value: rec}
 	}
 	emitPanic(opts, keyword, location)
+}
+
+// fitPanic is a contained panic, the error a fit returns in its place.
+type fitPanic struct{ value any }
+
+func (p *fitPanic) Error() string { return fmt.Sprintf("core: fit panicked: %v", p.value) }
+
+// recoverRunPanic is the deferred panic boundary of an LM run on a
+// goroutine of its own (multiStart), which cannot unwind the fit's
+// goroutine: the panic becomes the run's error, and the fit's goroutine,
+// taking the run's result, stops the fit with it and returns it with a
+// StagePanic event (gfit.stopErr), as recoverFitPanic would have.
+func recoverRunPanic(dst *error) {
+	if rec := recover(); rec != nil {
+		*dst = &fitPanic{value: rec}
+	}
 }
 
 // emitPanic reports a contained panic through the Progress hook. The hook
@@ -159,20 +175,26 @@ func FitGlobal(x *tensor.Tensor, opts FitOptions) (*Model, error) {
 
 	results := make([]GlobalFitResult, d)
 	errs := make([]error, d)
-	// Fixed worker pool: exactly min(Workers, d) goroutines exist at any
-	// moment, each draining keyword indices from a channel. Workers observe
-	// the fit context between keywords (and FitGlobalSequence observes it
-	// within each fit), so a cancel stops the whole phase promptly.
+	// Fixed worker pool: exactly min(Workers, d) keyword workers exist at
+	// any moment, each draining keyword indices from a channel. Workers
+	// observe the fit context between keywords (and FitGlobalSequence
+	// observes it within each fit), so a cancel stops the whole phase
+	// promptly. The workers and the concurrent LM starts of their fits
+	// share one budget of Workers slots: each worker holds one until the
+	// keywords run out, so a fit's LM starts take only the slots no worker
+	// holds.
 	workers := opts.Workers
 	if workers > d {
 		workers = d
 	}
+	slots := newWorkerSlots(opts.Workers)
 	idx := make(chan int)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
+		own := <-slots
 		wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer func() { slots <- own; wg.Done() }()
 			for i := range idx {
 				if err := opts.ctxErr(); err != nil {
 					errs[i] = err
@@ -180,7 +202,7 @@ func FitGlobal(x *tensor.Tensor, opts FitOptions) (*Model, error) {
 				}
 				func() {
 					defer recoverFitPanic(opts, i, -1, &errs[i])
-					results[i], errs[i] = FitGlobalSequence(x.Global(i), i, opts)
+					results[i], errs[i] = fitGlobalSequence(x.Global(i), i, opts, slots)
 				}()
 			}
 		}()

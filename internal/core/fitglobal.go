@@ -8,6 +8,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 	"time"
 
 	"dspot/internal/lm"
@@ -42,8 +43,12 @@ type FitOptions struct {
 	// 52/26/104/208 for weekly data, 7/30/365 for daily). Defaults to the
 	// weekly calendar; autocorrelation candidates are always added.
 	CalendarPeriods []int
-	// Workers bounds fitting concurrency across keywords/locations
-	// (default: 4; 1 disables parallelism).
+	// Workers bounds the goroutines that fit at once (default: 4; 1 fits
+	// sequentially). FitGlobal's keyword workers share the budget with the
+	// concurrent LM starts of each keyword's fit, which take the slots no
+	// keyword worker holds, so a one-keyword fit (FitGlobalSequence, a
+	// stream's cold fit or refit) uses all of it; FitLocal runs that many
+	// cell workers. The fitted model is the same at every value.
 	Workers int
 	// FDJacobian forces the LM sub-problems back onto finite-difference
 	// Jacobians instead of the analytic sensitivity kernel
@@ -121,10 +126,16 @@ type GlobalFitResult struct {
 // paper) to one global sequence x̄ by the alternating GlobalFit algorithm
 // (Algorithm 2): LM base fit, MDL-gated growth fit, and greedy MDL-gated
 // shock discovery, repeated while the total cost improves.
-func FitGlobalSequence(seq []float64, keyword int, opts FitOptions) (res GlobalFitResult, err error) {
+func FitGlobalSequence(seq []float64, keyword int, opts FitOptions) (GlobalFitResult, error) {
 	opts = opts.withDefaults()
+	return fitGlobalSequence(seq, keyword, opts, newWorkerSlots(opts.Workers-1))
+}
+
+// fitGlobalSequence is FitGlobalSequence on the worker slots its LM starts
+// may take, which FitGlobal's keyword workers share.
+func fitGlobalSequence(seq []float64, keyword int, opts FitOptions, slots chan *lmScratch) (res GlobalFitResult, err error) {
 	defer recoverFitPanic(opts, keyword, -1, &err)
-	st, err := newSequenceFit(seq, keyword, opts)
+	st, err := newSequenceFit(seq, keyword, opts, slots)
 	if err != nil {
 		return GlobalFitResult{}, err
 	}
@@ -163,8 +174,8 @@ func FitGlobalSequence(seq []float64, keyword int, opts FitOptions) (res GlobalF
 		}
 	}
 
-	if err := st.cancelErr(); err != nil {
-		return GlobalFitResult{}, fmt.Errorf("core: fit cancelled: %w", err)
+	if err := st.stopErr("fit"); err != nil {
+		return GlobalFitResult{}, err
 	}
 	return st.result(best, bestCost, rounds)
 }
@@ -176,8 +187,9 @@ func FitGlobalSequence(seq []float64, keyword int, opts FitOptions) (res GlobalF
 // pass, being the missing-value sentinel, while Inf and negative counts are
 // rejected with a typed numcheck error before any optimiser sees them, and
 // so is a sequence with fewer than 8 observed ticks. It returns the fit
-// state over the sequence normalised to [0, 1].
-func newSequenceFit(seq []float64, keyword int, opts FitOptions) (*gfit, error) {
+// state over the sequence normalised to [0, 1], whose concurrent LM starts
+// take their goroutines from slots.
+func newSequenceFit(seq []float64, keyword int, opts FitOptions, slots chan *lmScratch) (*gfit, error) {
 	if verr := numcheck.Sequence("core: sequence", seq); verr != nil {
 		return nil, verr
 	}
@@ -185,7 +197,8 @@ func newSequenceFit(seq []float64, keyword int, opts FitOptions) (*gfit, error) 
 		return nil, errors.New("core: sequence too short to fit")
 	}
 	norm, scale := tensor.Normalize(seq)
-	g := &gfit{seq: norm, n: len(norm), scale: scale, keyword: keyword, opts: opts, ctx: opts.Context}
+	g := &gfit{seq: norm, n: len(norm), scale: scale, keyword: keyword, opts: opts,
+		ctx: opts.Context, slots: slots}
 	g.start = g.traceNow()
 	return g, nil
 }
@@ -211,7 +224,9 @@ func (g *gfit) result(best gsnapshot, cost float64, rounds int) (GlobalFitResult
 	return GlobalFitResult{Params: params, Shocks: best.shocks, Scale: g.scale, Cost: cost}, nil
 }
 
-// gfit is the mutable state of one global fit.
+// gfit is the mutable state of one global fit. Its stages run one after
+// another on the fit's goroutine; only the LM runs of a multiStart phase
+// may run on other goroutines, and those only read the fit's state.
 type gfit struct {
 	seq     []float64 // normalised observations
 	n       int
@@ -219,8 +234,9 @@ type gfit struct {
 	keyword int
 	opts    FitOptions
 	ctx     context.Context // cooperative cancellation; nil = never cancelled
-	ctxErr  error           // sticky: first ctx.Err() observed
+	stop    error           // sticky: first ctx.Err() observed, or a concurrent LM run's panic
 	start   time.Time       // traceNow at entry: the keyword event's clock
+	slots   chan *lmScratch // the worker slots its concurrent LM runs take (multiStart)
 
 	params KeywordParams
 	shocks []Shock
@@ -228,19 +244,19 @@ type gfit struct {
 	lmIters  int // LM iterations spent on this keyword so far
 	lmStalls int // LM runs that ended Stalled (damping hit MaxLambda)
 
-	// Scratch buffers threaded through the objective closures (see
-	// DESIGN.md, "Hot path & memory discipline"). The fitting stages run
-	// sequentially on one gfit, and each buffer is owned by exactly one
-	// stage at a time; contents are only valid within a single objective
-	// evaluation. epsBase additionally caches a stage's fixed base ε(t)
-	// profile across evaluations (the accepted shocks' contribution in
-	// evaluateCandidate), which is why it is distinct from epsBuf.
-	// sensBuf is the per-parameter lane state of the analytic Jacobian
-	// passes (3 lanes per differentiated parameter).
-	epsBuf  []float64
+	// The fit's own scratch (DESIGN.md, "Hot path & memory discipline"):
+	// the LM runs multiStart makes on the fit's goroutine assemble and
+	// simulate into it, and so do the start probes and golden searches.
+	// Each buffer is owned by one stage at a time; contents are only valid
+	// within a single objective evaluation. epsBase caches a stage's fixed
+	// base ε(t) profile across evaluations (the accepted shocks'
+	// contribution in evaluateCandidate), which is why it is distinct from
+	// epsBuf; concurrent runs only read it.
+	lmScratch
 	epsBase []float64
-	simBuf  []float64
-	sensBuf []float64
+
+	runs    []lmRun        // multiStart's runs, reused from call to call
+	running sync.WaitGroup // the runs on goroutines of their own
 }
 
 // evaluateCandidate's budget on multiStart's schedule: of the 8
@@ -283,7 +299,7 @@ const (
 // startSSE scores one candidate LM start by the SSE of its forward
 // simulation (into simBuf) against the observed sequence. A NaN
 // (all-missing) score becomes +Inf so every ordering built on the scores is
-// total.
+// total. It runs on the fit's goroutine, in the fit's own scratch.
 func (g *gfit) startSSE(p *KeywordParams, eps []float64) float64 {
 	g.simBuf = SimulateInto(g.simBuf, p, g.n, eps, -1)
 	if sse := stats.SSE(g.seq, g.simBuf); !math.IsNaN(sse) {
@@ -333,39 +349,85 @@ func ensureLen(buf []float64, n int) []float64 {
 	return buf[:n]
 }
 
-// cancelled reports whether the fit's context has ended. The first
-// observation is sticky, so every stage sees a consistent verdict even if
-// the context races with the check.
+// cancelled reports whether the fit must stop: its context has ended, or an
+// LM run on another goroutine panicked (multiStart hands the panic over).
+// The first reason is sticky, so every stage sees a consistent verdict even
+// if the context races with the check. It writes the fit's state, so only
+// the fit's own goroutine may call it.
 func (g *gfit) cancelled() bool {
-	if g.ctxErr != nil {
+	if g.stop != nil {
 		return true
 	}
 	if g.ctx == nil {
 		return false
 	}
 	if err := g.ctx.Err(); err != nil {
-		g.ctxErr = err
+		g.stop = err
 		return true
 	}
 	return false
 }
 
-// cancelErr returns the sticky context error (nil while the fit is live).
-func (g *gfit) cancelErr() error {
-	if g.cancelled() {
-		return g.ctxErr
+// stopErr returns why the fit stopped early, nil while it is live: the
+// panic of a concurrent LM run, reported with a StagePanic event just as
+// recoverFitPanic reports a panic on the fit's own goroutine, or the
+// context's error, wrapped as "core: <what> cancelled".
+func (g *gfit) stopErr(what string) error {
+	if !g.cancelled() {
+		return nil
 	}
-	return nil
+	var p *fitPanic
+	if errors.As(g.stop, &p) {
+		emitPanic(g.opts, g.keyword, -1)
+		return p
+	}
+	return fmt.Errorf("core: %s cancelled: %w", what, g.stop)
 }
 
 // lmProblem is one LM sub-problem of the global fit, stated once: assemble
 // maps an LM vector to the simulation inputs it stands for (the parameters
-// and the ε(t) profile, built in the gfit scratch buffers), specs names the
+// and the ε(t) profile, built in the run's scratch sc), specs names the
 // sensitivity lane of each vector entry, in order, and lo/hi is the box.
+// The runs of a multiStart phase assemble concurrently, so assemble may
+// read the fit's state but write only sc; refineStrengths' single start is
+// the one exception (see there).
 type lmProblem struct {
-	assemble func(v []float64) (*KeywordParams, []float64)
+	assemble func(sc *lmScratch, v []float64) (*KeywordParams, []float64)
 	specs    []SensSpec
 	lo, hi   []float64
+}
+
+// lmScratch is the private scratch of one LM run at a time: assemble builds
+// the run's parameters and ε(t) profile in cand and epsBuf, and the run
+// simulates into simBuf and, for the analytic Jacobian, sensBuf (3 lane
+// states per differentiated parameter). A run on the fit's goroutine uses
+// the fit's own; a run on a goroutine of its own uses the one its worker
+// slot carries.
+type lmScratch struct {
+	cand                    KeywordParams
+	epsBuf, simBuf, sensBuf []float64
+
+	// The run the scratch serves, set by lmRunner, and LM's closures over
+	// it, made on the scratch's first run rather than per run: lm.Options
+	// carries the Jacobian where escape analysis loses track of it, so a
+	// closure made per run would be one more allocation every run.
+	fit   *gfit
+	pr    lmProblem
+	resid lm.ResidualIntoFunc
+	jac   lm.JacobianFunc
+}
+
+// newWorkerSlots returns n free worker slots. A slot is a token of the
+// Workers budget that carries the scratch of the LM run holding it; a
+// goroutine that fits holds one and hands it back when it is done, so the
+// channel never holds more than the n it was made with and a send on it
+// never blocks.
+func newWorkerSlots(n int) chan *lmScratch {
+	slots := make(chan *lmScratch, n)
+	for range n {
+		slots <- new(lmScratch)
+	}
+	return slots
 }
 
 // baseLo and baseHi box the base vector {N, β, δ, γ, i0} that leads the LM
@@ -393,45 +455,43 @@ func extendBox(lo, hi []float64, k int, l, h float64) ([]float64, []float64) {
 }
 
 // lmRunner returns the function that runs LM on pr from p0 for maxIter
-// iterations. It derives both closures LM needs from pr, once per problem:
-// the residuals seq − SimulateInto and their analytic Jacobian, the
-// simulateSens lanes negated (lm itself zeroes the rows at missing
-// observations). This is the only place internal/core builds lm.Options,
-// so one switch covers every production fit path: the Jacobian is dropped,
-// falling back to finite differences inside lm, when the caller opted into
-// FDJacobian, and the context stops a run within one LM iteration. Every
-// successful run's iterations and stall verdict are added to the fit's
-// totals (FitEvent.LMIters and LMStalls), on the analytic and FD paths
-// alike.
-func (g *gfit) lmRunner(pr lmProblem) func(p0 []float64, maxIter int) (lm.Result, error) {
-	assemble, specs := pr.assemble, pr.specs
-	resid := func(dst, v []float64) []float64 {
-		p, eps := assemble(v)
-		g.simBuf = SimulateInto(g.simBuf, p, g.n, eps, -1)
-		return residualsInto(dst, g.seq, g.simBuf)
-	}
+// iterations in the scratch sc. It states both closures LM needs, over the
+// problem and fit sc serves: the residuals, SimulateInto − seq (NaN at
+// missing ticks), and their analytic Jacobian, the simulateSens lanes as
+// they come (lm itself zeroes the rows at missing observations). This is
+// the only place internal/core builds lm.Options, so one switch covers
+// every production fit path: the Jacobian is dropped, falling back to
+// finite differences inside lm, when the caller opted into FDJacobian, and
+// the context stops a run within one LM iteration. A run writes only sc,
+// so the runs of a multiStart phase may run at once; multiStart adds each
+// successful run's iterations and stall verdict to the fit's totals
+// (FitEvent.LMIters and LMStalls), on the analytic and FD paths alike.
+func (g *gfit) lmRunner(pr lmProblem) func(sc *lmScratch, p0 []float64, maxIter int) (lm.Result, error) {
 	opts := lm.Options{Lower: pr.lo, Upper: pr.hi, Ctx: g.ctx}
-	if !g.opts.FDJacobian {
-		opts.Jacobian = func(jac, v []float64) {
-			p, eps := assemble(v)
-			g.sensBuf = ensureLen(g.sensBuf, 3*len(specs))
-			g.simBuf, jac = simulateSens(g.simBuf, jac, g.sensBuf, p, g.n, eps, -1, specs)
-			for i := range jac {
-				jac[i] = -jac[i]
+	return func(sc *lmScratch, p0 []float64, maxIter int) (lm.Result, error) {
+		if sc.resid == nil {
+			sc.resid = func(dst, v []float64) []float64 {
+				p, eps := sc.pr.assemble(sc, v)
+				sc.simBuf = SimulateInto(sc.simBuf, p, sc.fit.n, eps, -1)
+				r := ensureLen(dst, sc.fit.n)
+				for t, obs := range sc.fit.seq {
+					r[t] = sc.simBuf[t] - obs // a missing tick is NaN, and so is its residual
+				}
+				return r
+			}
+			sc.jac = func(jac, v []float64) {
+				p, eps := sc.pr.assemble(sc, v)
+				sc.sensBuf = ensureLen(sc.sensBuf, 3*len(sc.pr.specs))
+				sc.simBuf, _ = simulateSens(sc.simBuf, jac, sc.sensBuf, p, sc.fit.n, eps, -1, sc.pr.specs)
 			}
 		}
-	}
-	return func(p0 []float64, maxIter int) (lm.Result, error) {
+		sc.fit, sc.pr = g, pr
 		o := opts
 		o.MaxIter = maxIter
-		res, err := lm.FitInto(resid, p0, o)
-		if err == nil {
-			g.lmIters += res.Iterations
-			if res.Stalled {
-				g.lmStalls++
-			}
+		if !g.opts.FDJacobian {
+			o.Jacobian = sc.jac
 		}
-		return res, err
+		return lm.FitInto(sc.resid, p0, o)
 	}
 }
 
@@ -443,32 +503,80 @@ type schedule struct{ screen, polish, keep int }
 // bySSE scores an LM endpoint by its SSE, the base and growth fits' measure.
 func bySSE(_ []float64, sse float64) float64 { return sse }
 
+// lmRun is one LM run of a multiStart phase: its start and, once the phase
+// is over, LM's result or why the run failed or never started.
+type lmRun struct {
+	p0  []float64
+	res lm.Result
+	err error
+}
+
 // multiStart runs pr from each start under sch, the two-phase schedule
 // every LM sub-problem of the global fit goes through, and returns the
 // endpoint with the lowest score, the first one on a tie, with that score
 // (nil and +Inf when no run succeeded). score rates the endpoint of each
 // successful run once, from its LM vector and LM's SSE there. Screening
-// runs the starts in order; each screened endpoint remains a valid answer,
-// and the polish runs resume the keep best of them by (score, screening
-// order), best first. Once the fit is cancelled no further run starts.
+// runs every start; each screened endpoint remains a valid answer, and the
+// polish runs resume the keep best of them by (score, screening order).
+// Once the fit is cancelled no further run starts.
+//
+// The runs of a phase are independent, so they run concurrently, within
+// the Workers budget: a run takes a worker slot without blocking and runs
+// on a goroutine of its own, in the scratch the slot carries; the phase's
+// last run, and any run that finds no slot free, runs on the fit's
+// goroutine in the fit's own scratch, so at Workers 1 a phase is a plain
+// loop. When a phase is over, the fit's goroutine takes its runs in order
+// (screens in start order, polishes best first): it adds each run's
+// iterations and stall, scores its endpoint and keeps the best, so every
+// result and count is the same at every worker count. A panic on a run's
+// goroutine comes back as that run's error and stops the fit (stopErr).
 func (g *gfit) multiStart(pr lmProblem, starts [][]float64, sch schedule,
 	score func(v []float64, sse float64) float64) ([]float64, float64) {
 	run := g.lmRunner(pr)
+	phase := func(runs []lmRun, iters int) {
+		wg := &g.running
+		defer wg.Wait() // an inline run's panic unwinds past no live run
+		for k := range runs {
+			r := &runs[k]
+			if g.cancelled() {
+				r.err = g.stop
+				continue
+			}
+			if k < len(runs)-1 {
+				select {
+				case sc := <-g.slots:
+					wg.Add(1)
+					go func() {
+						defer func() { g.slots <- sc; wg.Done() }()
+						defer recoverRunPanic(&r.err)
+						r.res, r.err = run(sc, r.p0, iters)
+					}()
+					continue
+				default:
+				}
+			}
+			r.res, r.err = run(&g.lmScratch, r.p0, iters)
+		}
+	}
 	var best []float64
 	bestScore := math.Inf(1)
-	try := func(p0 []float64, iters int) ([]float64, float64, bool) {
-		if g.cancelled() {
+	merge := func(r *lmRun) ([]float64, float64, bool) {
+		if r.err != nil {
+			var p *fitPanic
+			if errors.As(r.err, &p) && g.stop == nil {
+				g.stop = p
+			}
 			return nil, 0, false
 		}
-		res, err := run(p0, iters)
-		if err != nil {
-			return nil, 0, false
+		g.lmIters += r.res.Iterations
+		if r.res.Stalled {
+			g.lmStalls++
 		}
-		sc := score(res.Params, res.SSE)
+		sc := score(r.res.Params, r.res.SSE)
 		if sc < bestScore {
-			best, bestScore = res.Params, sc
+			best, bestScore = r.res.Params, sc
 		}
-		return res.Params, sc, true
+		return r.res.Params, sc, true
 	}
 	type endpoint struct {
 		v     []float64
@@ -478,15 +586,26 @@ func (g *gfit) multiStart(pr lmProblem, starts [][]float64, sch schedule,
 	if sch.polish > 0 {
 		screened = make([]endpoint, 0, len(starts))
 	}
-	for _, s0 := range starts {
-		if v, sc, ok := try(s0, sch.screen); ok && sch.polish > 0 {
+	runs := slices.Grow(g.runs[:0], len(starts))[:len(starts)]
+	g.runs = runs
+	for k, s0 := range starts {
+		runs[k] = lmRun{p0: s0}
+	}
+	phase(runs, sch.screen)
+	for k := range runs {
+		if v, sc, ok := merge(&runs[k]); ok && sch.polish > 0 {
 			screened = append(screened, endpoint{v: v, score: sc})
 		}
 	}
 	// Stable, so equal scores keep their screening order.
 	slices.SortStableFunc(screened, func(a, b endpoint) int { return cmp.Compare(a.score, b.score) })
-	for _, e := range screened[:min(sch.keep, len(screened))] {
-		try(e.v, sch.polish)
+	runs = runs[:min(sch.keep, len(screened))]
+	for k := range runs {
+		runs[k] = lmRun{p0: screened[k].v}
+	}
+	phase(runs, sch.polish)
+	for k := range runs {
+		merge(&runs[k])
 	}
 	return best, bestScore
 }
@@ -547,11 +666,10 @@ func (g *gfit) fitBaseIter(multiStart bool, maxIter int, prune bool) {
 	t0 := g.traceNow()
 	itersBefore, stallsBefore := g.lmIters, g.lmStalls
 	eps := g.epsilon()
-	var cand KeywordParams
 	pr := lmProblem{specs: BaseSensSpecs(), lo: baseLo, hi: baseHi,
-		assemble: func(v []float64) (*KeywordParams, []float64) {
-			cand = g.withBase(v)
-			return &cand, eps
+		assemble: func(sc *lmScratch, v []float64) (*KeywordParams, []float64) {
+			sc.cand = g.withBase(v)
+			return &sc.cand, eps
 		}}
 
 	starts := [][]float64{{g.params.N, g.params.Beta, g.params.Delta, g.params.Gamma, g.params.I0}}
@@ -604,7 +722,7 @@ func (g *gfit) fitBaseIter(multiStart bool, maxIter int, prune bool) {
 		// start can look terrible at its starting point yet win after LM.
 		sses := make([]float64, len(starts))
 		for i, s0 := range starts {
-			sses[i] = g.startSSE(pr.assemble(s0))
+			sses[i] = g.startSSE(pr.assemble(&g.lmScratch, s0))
 		}
 		keep := make(map[int]bool, len(groups)+2)
 		keep[0] = true
@@ -819,11 +937,10 @@ func (g *gfit) growthStarts(tEta int, eps []float64) [][]float64 {
 // endpoint (the first start at +Inf SSE when every run fails). eps is the
 // shock profile, fixed for the whole growth search.
 func (g *gfit) jointGrowthFit(tEta int, eps []float64, maxIter int, starts ...[]float64) growthFit {
-	var cand KeywordParams
 	v, sse := g.multiStart(lmProblem{specs: growthSpecs, lo: growthLo, hi: growthHi,
-		assemble: func(v []float64) (*KeywordParams, []float64) {
-			cand = growthFit{tEta: tEta, v: v}.params()
-			return &cand, eps
+		assemble: func(sc *lmScratch, v []float64) (*KeywordParams, []float64) {
+			sc.cand = growthFit{tEta: tEta, v: v}.params()
+			return &sc.cand, eps
 		}}, starts, schedule{screen: maxIter}, bySSE)
 	if v == nil {
 		v = starts[0]
@@ -1075,15 +1192,14 @@ func (g *gfit) evaluateCandidate(s Shock) (Shock, KeywordParams, float64) {
 		specs = append(specs, StrengthSpec(&s, m, g.n))
 	}
 	lo, hi := extendBox(baseLo, baseHi, occ, 0, maxShockStrength)
-	var p KeywordParams
-	cand := s
 	pr := lmProblem{specs: specs, lo: lo, hi: hi,
-		assemble: func(v []float64) (*KeywordParams, []float64) {
-			p, cand.Strength = g.withBase(v), v[5:]
-			g.epsBuf = ensureLen(g.epsBuf, g.n)
-			copy(g.epsBuf, epsBase)
-			addShockEpsilon(g.epsBuf, 0, &cand, 0)
-			return &p, g.epsBuf
+		assemble: func(sc *lmScratch, v []float64) (*KeywordParams, []float64) {
+			cand := s
+			sc.cand, cand.Strength = g.withBase(v), v[5:]
+			sc.epsBuf = ensureLen(sc.epsBuf, g.n)
+			copy(sc.epsBuf, epsBase)
+			addShockEpsilon(sc.epsBuf, 0, &cand, 0)
+			return &sc.cand, sc.epsBuf
 		}}
 
 	// Warm start: current base + windowed golden strengths.
@@ -1138,7 +1254,7 @@ func (g *gfit) evaluateCandidate(s Shock) (Shock, KeywordParams, float64) {
 		// basin ranking.
 		sses := make([]float64, len(starts))
 		for i, v := range starts {
-			sses[i] = g.startSSE(pr.assemble(v))
+			sses[i] = g.startSSE(pr.assemble(&g.lmScratch, v))
 		}
 		keep := bestStartIdx(sses, candKeep, 2)
 		pruned := make([][]float64, 0, len(keep))
@@ -1301,19 +1417,22 @@ func (g *gfit) refineStrengths() {
 		return
 	}
 	lo, hi := extendBox(nil, nil, len(p0), 0, maxShockStrength)
+	// assemble writes the strengths into the fit's shocks, which only a run
+	// that nothing runs beside may do: the single start keeps it one, since
+	// multiStart runs a phase's last run on the fit's goroutine.
 	pr := lmProblem{specs: specs, lo: lo, hi: hi,
-		assemble: func(v []float64) (*KeywordParams, []float64) {
+		assemble: func(sc *lmScratch, v []float64) (*KeywordParams, []float64) {
 			for i, id := range idx {
 				g.shocks[id[0]].Strength[id[1]] = v[i]
 			}
-			g.epsBuf = epsilonInto(ensureLen(g.epsBuf, g.n), 0, g.shocks, false, nil)
-			return &g.params, g.epsBuf
+			sc.epsBuf = epsilonInto(ensureLen(sc.epsBuf, g.n), 0, g.shocks, false, nil)
+			return &g.params, sc.epsBuf
 		}}
 	best, _ := g.multiStart(pr, [][]float64{p0}, schedule{screen: 60}, bySSE)
 	if best == nil {
 		best = p0 // restore
 	}
-	pr.assemble(best)
+	pr.assemble(&g.lmScratch, best)
 }
 
 // maskedBaseParams fits the base parameters against the sequence with the
@@ -1332,11 +1451,15 @@ func (g *gfit) maskedBaseParams(s *Shock) KeywordParams {
 	}
 	subOpts := g.opts
 	subOpts.Progress = nil // inner helper fit: no stage events of its own
-	sub := &gfit{seq: seqMasked, n: g.n, keyword: g.keyword, opts: subOpts, ctx: g.ctx}
+	sub := &gfit{seq: seqMasked, n: g.n, keyword: g.keyword, opts: subOpts, ctx: g.ctx,
+		slots: g.slots}
 	sub.params = KeywordParams{TEta: g.params.TEta, Eta0: g.params.Eta0}
 	sub.fitBaseIter(true, 40, true)
 	g.lmIters += sub.lmIters
 	g.lmStalls += sub.lmStalls
+	if g.stop == nil {
+		g.stop = sub.stop // a panic of one of the sub-fit's runs stops this fit too
+	}
 	return sub.params
 }
 

@@ -30,7 +30,7 @@ const scaleDriftLimit = 1.25
 func ContinueGlobalSequence(seq []float64, keyword int, prev GlobalFitResult, opts FitOptions) (res GlobalFitResult, err error) {
 	opts = opts.withDefaults()
 	defer recoverFitPanic(opts, keyword, -1, &err)
-	st, err := newSequenceFit(seq, keyword, opts)
+	st, err := newSequenceFit(seq, keyword, opts, newWorkerSlots(opts.Workers-1))
 	if err != nil {
 		return GlobalFitResult{}, err
 	}
@@ -95,8 +95,8 @@ func ContinueGlobalSequence(seq []float64, keyword int, prev GlobalFitResult, op
 			break
 		}
 	}
-	if err := st.cancelErr(); err != nil {
-		return GlobalFitResult{}, fmt.Errorf("core: refit cancelled: %w", err)
+	if err := st.stopErr("refit"); err != nil {
+		return GlobalFitResult{}, err
 	}
 
 	// Scale-drift guard. What does NOT transfer across a rescaled window is
