@@ -3,10 +3,17 @@ package engine
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"encoding/json"
 	"errors"
+	"hash"
+	"hash/fnv"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 
+	"dspot/internal/datagen"
 	"dspot/internal/numcheck"
 	"dspot/internal/tensor"
 )
@@ -180,6 +187,104 @@ func TestConformanceEncodeDecodeRoundTrip(t *testing.T) {
 			if m2.Ticks() != x.N() || len(m2.Keywords()) != x.D() {
 				t.Errorf("revived model shape %d×%d, want %d×%d",
 					len(m2.Keywords()), m2.Ticks(), x.D(), x.N())
+			}
+			if got, want := modelDigest(t, e, m2, x), modelDigest(t, e, m, x); got != want {
+				t.Errorf("round trip changed the numerics: simulate/forecast/cost %x, want %x", got, want)
+			}
+		})
+	}
+}
+
+// modelDigest hashes the IEEE bits of what a model computes against x: every
+// keyword's Simulate over x's ticks and Forecast(13), then CodingCost.
+func modelDigest(t *testing.T, e ModelEngine, m Model, x *tensor.Tensor) [3]uint64 {
+	t.Helper()
+	sim, fc := fnv.New64a(), fnv.New64a()
+	for _, kw := range m.Keywords() {
+		s, err := e.Simulate(m, kw, x.N())
+		if err != nil {
+			t.Fatalf("Simulate(%q): %v", kw, err)
+		}
+		f, err := e.Forecast(m, kw, 13)
+		if err != nil {
+			t.Fatalf("Forecast(%q): %v", kw, err)
+		}
+		writeBits(sim, s)
+		writeBits(fc, f)
+	}
+	c, err := e.CodingCost(m, x)
+	if err != nil {
+		t.Fatalf("CodingCost: %v", err)
+	}
+	return [3]uint64{sim.Sum64(), fc.Sum64(), math.Float64bits(c)}
+}
+
+func writeBits(h hash.Hash64, v []float64) {
+	var b [8]byte
+	for _, f := range v {
+		binary.LittleEndian.PutUint64(b[:], math.Float64bits(f))
+		h.Write(b[:])
+	}
+}
+
+// TestConformanceWireGolden pins the persisted form of the per-keyword
+// engines. Each testdata body was fitted with conformanceOpts to the
+// GoogleTrends tensor below (HIP under the promotion series the body
+// carries) and written by EncodeModel; the FUNNEL body holds one-shot
+// shocks and location scales. Every body must decode and re-encode
+// byte-identically, also with a well-formed optional field its engine never
+// writes added (the decoder ignores it), and the decoded model must compute
+// the pinned bits: a hash of every keyword's Simulate and Forecast(13), and
+// the CodingCost, against the regenerated tensor.
+func TestConformanceWireGolden(t *testing.T) {
+	x := datagen.GoogleTrends(datagen.Config{Locations: 2, Ticks: 78, Seed: 3}).Tensor
+	for _, tc := range []struct {
+		name   string
+		digest [3]uint64
+	}{
+		{"epidemic", [3]uint64{0x13590fe246b1b3e0, 0xddc9a0b30495e856, 0x409bea9ebe273ac4}},
+		{"funnel", [3]uint64{0x99d2a36ea26e71fb, 0xc889a9e1efd23b8f, 0x409f6ca00fd941c9}},
+		{"hip", [3]uint64{0x668380b6a23ce2bd, 0xa02fb4aebdd6e063, 0x40a3692eb0ce226b}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, err := Lookup(tc.name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			golden, err := os.ReadFile(filepath.Join("testdata", tc.name+".json"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			m, err := e.DecodeModel(bytes.NewReader(golden))
+			if err != nil {
+				t.Fatalf("DecodeModel: %v", err)
+			}
+			if got := encodeModel(t, e, m); !bytes.Equal(got, golden) {
+				t.Errorf("re-encoding changed the wire form:\ngot:  %s\nwant: %s", got, golden)
+			}
+			if got := modelDigest(t, e, m, x); got != tc.digest {
+				t.Errorf("simulate/forecast/cost bits %#x, want %#x", got, tc.digest)
+			}
+
+			var fields map[string]json.RawMessage
+			if err := json.Unmarshal(golden, &fields); err != nil {
+				t.Fatal(err)
+			}
+			for key, v := range map[string]string{"promotion": "[1, 2]", "local_scales": "[[1, 2]]"} {
+				if _, ok := fields[key]; !ok {
+					fields[key] = json.RawMessage(v)
+				}
+			}
+			extra, err := json.Marshal(fields)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m2, err := e.DecodeModel(bytes.NewReader(extra))
+			if err != nil {
+				t.Fatalf("DecodeModel with unwritten fields: %v", err)
+			}
+			if got := encodeModel(t, e, m2); !bytes.Equal(got, golden) {
+				t.Errorf("an unwritten field reached the model:\ngot:  %s\nwant: %s", got, golden)
 			}
 		})
 	}
