@@ -12,10 +12,12 @@
 // explains a tensor most cheaply — the paper's model-selection argument,
 // exposed as an API.
 //
-// Adding a new engine is: implement ModelEngine (context-aware Fit with
-// numcheck input validation, deterministic for fixed inputs), implement
-// Model for its fitted artefact, call Register in an init(), and run the
-// conformance harness (conformance_test.go) against it.
+// Adding a new engine: a family whose model is one parameter set per
+// keyword registers a keywordEngine (keyword.go) that states only its
+// numerics; anything else implements ModelEngine (context-aware Fit with
+// numcheck input validation, deterministic for fixed inputs) and Model for
+// its fitted artefact, as dspot.go does. Either way, call Register in an
+// init() and run the conformance harness (conformance_test.go) against it.
 package engine
 
 import (

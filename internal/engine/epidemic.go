@@ -1,56 +1,76 @@
 package engine
 
 import (
-	"encoding/json"
+	"context"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 
 	"dspot/internal/epidemic"
 	"dspot/internal/mdl"
 	"dspot/internal/numcheck"
-	"dspot/internal/tensor"
 )
 
-func init() { Register(epidemicEngine{}) }
-
-// EpidemicModel holds one compartmental fit (best kind by MDL among
+// The epidemic engine holds one compartmental fit (best kind by MDL among
 // SI/SIR/SIRS/SKIPS) per keyword, over the global sequences.
-type EpidemicModel struct {
-	keywords  []string
-	locations []string
-	ticks     int
-	params    []epidemic.Params
+func init() {
+	Register(&keywordEngine[epidemic.Params]{
+		name: "epidemic",
+		fit:  fitEpidemicKind,
+		simulate: func(p epidemic.Params, n int, _ []float64) []float64 {
+			return p.Simulate(n)
+		},
+		// Forecast continues the compartmental dynamics past the training
+		// window.
+		forecast: func(p epidemic.Params, ticks, horizon int, _ []float64) []float64 {
+			return p.Simulate(ticks + horizon)[ticks:]
+		},
+		descCost: epidemicDescCost,
+		check: func(i int, p epidemic.Params) error {
+			if p.Kind < epidemic.SI || p.Kind > epidemic.SKIPS {
+				return fmt.Errorf("epidemic model: keyword %d has unknown kind %d", i, p.Kind)
+			}
+			for _, v := range []float64{p.N, p.Beta, p.Delta, p.Gamma, p.I0, p.Amp, p.Phase} {
+				if err := numcheck.Finite(fmt.Sprintf("epidemic params[%d]", i), v); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
+	})
 }
 
-func (m *EpidemicModel) EngineName() string  { return "epidemic" }
-func (m *EpidemicModel) Keywords() []string  { return m.keywords }
-func (m *EpidemicModel) Locations() []string { return m.locations }
-func (m *EpidemicModel) Ticks() int          { return m.ticks }
-
-// Params returns the fitted compartmental parameters for keyword i.
-func (m *EpidemicModel) Params(i int) epidemic.Params { return m.params[i] }
-
-func (m *EpidemicModel) Validate() error {
-	if m.ticks <= 0 {
-		return fmt.Errorf("epidemic model: non-positive ticks %d", m.ticks)
-	}
-	if len(m.params) != len(m.keywords) || len(m.keywords) == 0 {
-		return fmt.Errorf("epidemic model: %d keywords, %d parameter sets",
-			len(m.keywords), len(m.params))
-	}
-	for i, p := range m.params {
-		if p.Kind < epidemic.SI || p.Kind > epidemic.SKIPS {
-			return fmt.Errorf("epidemic model: keyword %d has unknown kind %d", i, p.Kind)
-		}
-		for _, v := range []float64{p.N, p.Beta, p.Delta, p.Gamma, p.I0, p.Amp, p.Phase} {
-			if err := numcheck.Finite(fmt.Sprintf("epidemic params[%d]", i), v); err != nil {
-				return err
+// fitEpidemicKind fits one sequence with every family member and keeps the
+// kind with the lowest MDL total (description + Gaussian residual cost), so
+// simple dynamics are not over-parameterised into SKIPS.
+func fitEpidemicKind(ctx context.Context, seq []float64, _ FitOptions) (epidemic.Params, error) {
+	n := len(seq)
+	var best epidemic.Params
+	bestCost := math.Inf(1)
+	var firstErr error
+	for _, kind := range []epidemic.Kind{epidemic.SI, epidemic.SIR, epidemic.SIRS, epidemic.SKIPS} {
+		p, err := epidemic.FitCtx(ctx, kind, seq)
+		if err != nil {
+			if ctx.Err() != nil {
+				return best, err
 			}
+			if firstErr == nil {
+				firstErr = err
+			}
+			continue
+		}
+		c := epidemicDescCost(p, n) + gaussianResidualCost(seq, p.Simulate(n))
+		if c < bestCost {
+			bestCost, best = c, p
 		}
 	}
-	return nil
+	if math.IsInf(bestCost, 1) {
+		if firstErr == nil {
+			firstErr = errors.New("no kind has a finite coding cost")
+		}
+		return best, firstErr
+	}
+	return best, nil
 }
 
 // epidemicKindDim is the fitted float count per kind (the N/β/δ/γ/i0 subset
@@ -77,141 +97,4 @@ func epidemicDescCost(p epidemic.Params, n int) float64 {
 		c += mdl.IntCost(n)
 	}
 	return c
-}
-
-type epidemicEngine struct{}
-
-func (epidemicEngine) Name() string { return "epidemic" }
-
-// Fit fits each keyword's global sequence with every family member and keeps
-// the kind with the lowest MDL total (description + Gaussian residual cost),
-// so simple dynamics are not over-parameterised into SKIPS.
-func (epidemicEngine) Fit(x *tensor.Tensor, opts FitOptions) (Model, error) {
-	if err := validateInput(x, &opts); err != nil {
-		return nil, err
-	}
-	ctx := ctxOf(opts)
-	n := x.N()
-	params := make([]epidemic.Params, x.D())
-	for i := 0; i < x.D(); i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("engine: epidemic fit cancelled: %w", err)
-		}
-		seq := x.Global(i)
-		bestCost := math.Inf(1)
-		var firstErr error
-		for _, kind := range []epidemic.Kind{epidemic.SI, epidemic.SIR, epidemic.SIRS, epidemic.SKIPS} {
-			p, err := epidemic.FitCtx(ctx, kind, seq)
-			if err != nil {
-				if ctx.Err() != nil {
-					return nil, fmt.Errorf("engine: epidemic fit cancelled: %w", ctx.Err())
-				}
-				if firstErr == nil {
-					firstErr = err
-				}
-				continue
-			}
-			c := epidemicDescCost(p, n) + gaussianResidualCost(seq, p.Simulate(n))
-			if c < bestCost {
-				bestCost, params[i] = c, p
-			}
-		}
-		if math.IsInf(bestCost, 1) {
-			return nil, fmt.Errorf("engine: epidemic fit of keyword %q: %w",
-				x.Keywords[i], firstErr)
-		}
-	}
-	return &EpidemicModel{
-		keywords:  append([]string(nil), x.Keywords...),
-		locations: append([]string(nil), x.Locations...),
-		ticks:     n,
-		params:    params,
-	}, nil
-}
-
-func (epidemicEngine) Simulate(m Model, keyword string, n int) ([]float64, error) {
-	em, err := asEpidemic(m)
-	if err != nil {
-		return nil, err
-	}
-	i, err := keywordIndex(m, keyword)
-	if err != nil {
-		return nil, err
-	}
-	return em.params[i].Simulate(n), nil
-}
-
-// Forecast continues the compartmental dynamics past the training window.
-func (epidemicEngine) Forecast(m Model, keyword string, horizon int) ([]float64, error) {
-	em, err := asEpidemic(m)
-	if err != nil {
-		return nil, err
-	}
-	i, err := keywordIndex(m, keyword)
-	if err != nil {
-		return nil, err
-	}
-	return em.params[i].Simulate(em.ticks + horizon)[em.ticks:], nil
-}
-
-func (epidemicEngine) CodingCost(m Model, x *tensor.Tensor) (float64, error) {
-	em, err := asEpidemic(m)
-	if err != nil {
-		return 0, err
-	}
-	n := x.N()
-	cost := header(x.D(), n)
-	for i := 0; i < x.D() && i < len(em.params); i++ {
-		cost += epidemicDescCost(em.params[i], n)
-		cost += gaussianResidualCost(x.Global(i), em.params[i].Simulate(n))
-	}
-	return cost, nil
-}
-
-// epidemicModelJSON is the persistence wire form.
-type epidemicModelJSON struct {
-	Engine    string            `json:"engine"`
-	Keywords  []string          `json:"keywords"`
-	Locations []string          `json:"locations"`
-	Ticks     int               `json:"ticks"`
-	Params    []epidemic.Params `json:"params"`
-}
-
-func (epidemicEngine) EncodeModel(w io.Writer, m Model) error {
-	em, err := asEpidemic(m)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(epidemicModelJSON{
-		Engine: "epidemic", Keywords: em.keywords, Locations: em.locations,
-		Ticks: em.ticks, Params: em.params,
-	})
-}
-
-func (epidemicEngine) DecodeModel(r io.Reader) (Model, error) {
-	var wire epidemicModelJSON
-	if err := json.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("engine: decoding epidemic model: %w", err)
-	}
-	if wire.Engine != "" && wire.Engine != "epidemic" {
-		return nil, fmt.Errorf("engine: epidemic decoder got engine %q", wire.Engine)
-	}
-	m := &EpidemicModel{
-		keywords: wire.Keywords, locations: wire.Locations,
-		ticks: wire.Ticks, params: wire.Params,
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func asEpidemic(m Model) (*EpidemicModel, error) {
-	em, ok := m.(*EpidemicModel)
-	if !ok {
-		return nil, errors.New("engine: epidemic engine got a " + m.EngineName() + " model")
-	}
-	return em, nil
 }

@@ -1,80 +1,59 @@
 package engine
 
 import (
-	"encoding/json"
-	"errors"
+	"context"
 	"fmt"
-	"io"
 
 	"dspot/internal/funnel"
 	"dspot/internal/mdl"
 	"dspot/internal/numcheck"
-	"dspot/internal/tensor"
 )
 
-func init() { Register(funnelEngine{}) }
-
-// FunnelModel holds one FUNNEL fit per keyword over the global sequences,
-// plus optional per-location scales (the family's spatial treatment) when
-// the fit was not GlobalOnly.
-type FunnelModel struct {
-	keywords  []string
-	locations []string
-	ticks     int
-	params    []funnel.Params
-	// localScales[i][j] rescales keyword i's global curve to location j
-	// (nil for global-only fits).
-	localScales [][]float64
-}
-
-func (m *FunnelModel) EngineName() string  { return "funnel" }
-func (m *FunnelModel) Keywords() []string  { return m.keywords }
-func (m *FunnelModel) Locations() []string { return m.locations }
-func (m *FunnelModel) Ticks() int          { return m.ticks }
-
-// Params returns the fitted FUNNEL parameters for keyword i.
-func (m *FunnelModel) Params(i int) funnel.Params { return m.params[i] }
-
-func (m *FunnelModel) Validate() error {
-	if m.ticks <= 0 {
-		return fmt.Errorf("funnel model: non-positive ticks %d", m.ticks)
-	}
-	if len(m.params) != len(m.keywords) || len(m.keywords) == 0 {
-		return fmt.Errorf("funnel model: %d keywords, %d parameter sets",
-			len(m.keywords), len(m.params))
-	}
-	if m.localScales != nil && len(m.localScales) != len(m.keywords) {
-		return fmt.Errorf("funnel model: %d keywords, %d local-scale rows",
-			len(m.keywords), len(m.localScales))
-	}
-	for i, p := range m.params {
-		for _, v := range []float64{p.N, p.Beta, p.Delta, p.Gamma, p.I0, p.Amp, p.Phase} {
-			if err := numcheck.Finite(fmt.Sprintf("funnel params[%d]", i), v); err != nil {
-				return err
+// The FUNNEL engine holds one fit per keyword over the global sequences,
+// plus per-location scales (the family's spatial treatment) when the fit was
+// not GlobalOnly.
+func init() {
+	Register(&keywordEngine[funnel.Params]{
+		name: "funnel",
+		fit: func(ctx context.Context, seq []float64, opts FitOptions) (funnel.Params, error) {
+			return funnel.Fit(seq, funnel.Options{MaxShocks: opts.MaxShocks, Context: ctx})
+		},
+		simulate: func(p funnel.Params, n int, _ []float64) []float64 {
+			return p.Simulate(n)
+		},
+		// Forecast continues the seasonal dynamics; one-shot shocks lie
+		// inside the training window and do not recur.
+		forecast: func(p funnel.Params, ticks, horizon int, _ []float64) []float64 {
+			return p.Simulate(ticks + horizon)[ticks:]
+		},
+		descCost: funnelDescCost,
+		check: func(i int, p funnel.Params) error {
+			for _, v := range []float64{p.N, p.Beta, p.Delta, p.Gamma, p.I0, p.Amp, p.Phase} {
+				if err := numcheck.Finite(fmt.Sprintf("funnel params[%d]", i), v); err != nil {
+					return err
+				}
 			}
-		}
-		for _, s := range p.Shocks {
-			if s.Start < 0 || s.Width < 1 {
-				return fmt.Errorf("funnel model: keyword %d has shock at %d width %d",
-					i, s.Start, s.Width)
+			for _, s := range p.Shocks {
+				if s.Start < 0 || s.Width < 1 {
+					return fmt.Errorf("funnel model: keyword %d has shock at %d width %d",
+						i, s.Start, s.Width)
+				}
 			}
-		}
-	}
-	return nil
-}
-
-// Events lists the one-shot shocks (FUNNEL has no cyclic events).
-func (m *FunnelModel) Events() []Event {
-	var out []Event
-	for i, p := range m.params {
-		for _, s := range p.Shocks {
-			out = append(out, Event{
-				Keyword: m.keywords[i], Start: s.Start, Width: s.Width,
-				Strength: []float64{s.Strength},
-			})
-		}
-	}
-	return out
+			return nil
+		},
+		// Events are the one-shot shocks (FUNNEL has no cyclic events).
+		events: func(keyword string, p funnel.Params) []Event {
+			var out []Event
+			for _, s := range p.Shocks {
+				out = append(out, Event{
+					Keyword: keyword, Start: s.Start, Width: s.Width,
+					Strength: []float64{s.Strength},
+				})
+			}
+			return out
+		},
+		fitLocal: funnel.FitLocal,
+	})
 }
 
 // funnelDescCost prices one keyword's parameters: the base floats, a
@@ -88,137 +67,4 @@ func funnelDescCost(p funnel.Params, n int) float64 {
 	c += mdl.LogStar(len(p.Shocks))
 	c += float64(len(p.Shocks)) * (2*mdl.IntCost(n) + mdl.FloatCost)
 	return c
-}
-
-type funnelEngine struct{}
-
-func (funnelEngine) Name() string { return "funnel" }
-
-func (funnelEngine) Fit(x *tensor.Tensor, opts FitOptions) (Model, error) {
-	if err := validateInput(x, &opts); err != nil {
-		return nil, err
-	}
-	ctx := ctxOf(opts)
-	n := x.N()
-	params := make([]funnel.Params, x.D())
-	var localScales [][]float64
-	if !opts.GlobalOnly {
-		localScales = make([][]float64, x.D())
-	}
-	for i := 0; i < x.D(); i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("engine: funnel fit cancelled: %w", err)
-		}
-		p, err := funnel.Fit(x.Global(i), funnel.Options{
-			MaxShocks: opts.MaxShocks,
-			Context:   ctx,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("engine: funnel fit of keyword %q: %w", x.Keywords[i], err)
-		}
-		params[i] = p
-		if localScales != nil {
-			locals := make([][]float64, x.L())
-			for j := 0; j < x.L(); j++ {
-				locals[j] = x.Local(i, j)
-			}
-			localScales[i] = funnel.FitLocal(p, locals)
-		}
-	}
-	return &FunnelModel{
-		keywords:    append([]string(nil), x.Keywords...),
-		locations:   append([]string(nil), x.Locations...),
-		ticks:       n,
-		params:      params,
-		localScales: localScales,
-	}, nil
-}
-
-func (funnelEngine) Simulate(m Model, keyword string, n int) ([]float64, error) {
-	fm, err := asFunnel(m)
-	if err != nil {
-		return nil, err
-	}
-	i, err := keywordIndex(m, keyword)
-	if err != nil {
-		return nil, err
-	}
-	return fm.params[i].Simulate(n), nil
-}
-
-// Forecast continues the seasonal dynamics; one-shot shocks lie inside the
-// training window and do not recur.
-func (funnelEngine) Forecast(m Model, keyword string, horizon int) ([]float64, error) {
-	fm, err := asFunnel(m)
-	if err != nil {
-		return nil, err
-	}
-	i, err := keywordIndex(m, keyword)
-	if err != nil {
-		return nil, err
-	}
-	return fm.params[i].Simulate(fm.ticks + horizon)[fm.ticks:], nil
-}
-
-func (funnelEngine) CodingCost(m Model, x *tensor.Tensor) (float64, error) {
-	fm, err := asFunnel(m)
-	if err != nil {
-		return 0, err
-	}
-	n := x.N()
-	cost := header(x.D(), n)
-	for i := 0; i < x.D() && i < len(fm.params); i++ {
-		cost += funnelDescCost(fm.params[i], n)
-		cost += gaussianResidualCost(x.Global(i), fm.params[i].Simulate(n))
-	}
-	return cost, nil
-}
-
-// funnelModelJSON is the persistence wire form.
-type funnelModelJSON struct {
-	Engine      string          `json:"engine"`
-	Keywords    []string        `json:"keywords"`
-	Locations   []string        `json:"locations"`
-	Ticks       int             `json:"ticks"`
-	Params      []funnel.Params `json:"params"`
-	LocalScales [][]float64     `json:"local_scales,omitempty"`
-}
-
-func (funnelEngine) EncodeModel(w io.Writer, m Model) error {
-	fm, err := asFunnel(m)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(funnelModelJSON{
-		Engine: "funnel", Keywords: fm.keywords, Locations: fm.locations,
-		Ticks: fm.ticks, Params: fm.params, LocalScales: fm.localScales,
-	})
-}
-
-func (funnelEngine) DecodeModel(r io.Reader) (Model, error) {
-	var wire funnelModelJSON
-	if err := json.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("engine: decoding funnel model: %w", err)
-	}
-	if wire.Engine != "" && wire.Engine != "funnel" {
-		return nil, fmt.Errorf("engine: funnel decoder got engine %q", wire.Engine)
-	}
-	m := &FunnelModel{
-		keywords: wire.Keywords, locations: wire.Locations,
-		ticks: wire.Ticks, params: wire.Params, localScales: wire.LocalScales,
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func asFunnel(m Model) (*FunnelModel, error) {
-	fm, ok := m.(*FunnelModel)
-	if !ok {
-		return nil, errors.New("engine: funnel engine got a " + m.EngineName() + " model")
-	}
-	return fm, nil
 }

@@ -1,181 +1,39 @@
 package engine
 
 import (
-	"encoding/json"
-	"errors"
+	"context"
 	"fmt"
-	"io"
 
 	"dspot/internal/hip"
 	"dspot/internal/mdl"
 	"dspot/internal/numcheck"
-	"dspot/internal/tensor"
 )
 
-func init() { Register(hipEngine{}) }
-
-// HIPModel holds one Hawkes-intensity fit per keyword over the global
+// The HIP engine holds one Hawkes-intensity fit per keyword over the global
 // sequences, plus the promotion series the fit conditioned on (exogenous
 // input — stored so simulation and forecasting replay the same drive, but
 // never priced by MDL).
-type HIPModel struct {
-	keywords  []string
-	locations []string
-	ticks     int
-	params    []hip.Params
-	promotion []float64
-}
-
-func (m *HIPModel) EngineName() string  { return "hip" }
-func (m *HIPModel) Keywords() []string  { return m.keywords }
-func (m *HIPModel) Locations() []string { return m.locations }
-func (m *HIPModel) Ticks() int          { return m.ticks }
-
-// Params returns the fitted HIP parameters for keyword i.
-func (m *HIPModel) Params(i int) hip.Params { return m.params[i] }
-
-func (m *HIPModel) Validate() error {
-	if m.ticks <= 0 {
-		return fmt.Errorf("hip model: non-positive ticks %d", m.ticks)
-	}
-	if len(m.params) != len(m.keywords) || len(m.keywords) == 0 {
-		return fmt.Errorf("hip model: %d keywords, %d parameter sets",
-			len(m.keywords), len(m.params))
-	}
-	for i, p := range m.params {
-		for _, v := range []float64{p.Mu, p.C, p.Theta, p.Cutoff} {
-			if err := numcheck.Value(fmt.Sprintf("hip params[%d]", i), v); err != nil {
-				return err
+func init() {
+	Register(&keywordEngine[hip.Params]{
+		name: "hip",
+		fit: func(ctx context.Context, seq []float64, opts FitOptions) (hip.Params, error) {
+			return hip.Fit(seq, hip.Options{Context: ctx, Promotion: opts.Promotion})
+		},
+		simulate: func(p hip.Params, n int, promo []float64) []float64 {
+			return p.Simulate(n, promo)
+		},
+		forecast: func(p hip.Params, ticks, horizon int, promo []float64) []float64 {
+			return p.Forecast(ticks, horizon, promo)
+		},
+		descCost: func(hip.Params, int) float64 { return mdl.FloatsCost(hip.ParamCount) },
+		check: func(i int, p hip.Params) error {
+			for _, v := range []float64{p.Mu, p.C, p.Theta, p.Cutoff} {
+				if err := numcheck.Value(fmt.Sprintf("hip params[%d]", i), v); err != nil {
+					return err
+				}
 			}
-		}
-	}
-	if m.promotion != nil {
-		if err := numcheck.StrictSequence("hip promotion", m.promotion); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-type hipEngine struct{}
-
-func (hipEngine) Name() string { return "hip" }
-
-func (hipEngine) Fit(x *tensor.Tensor, opts FitOptions) (Model, error) {
-	if err := validateInput(x, &opts); err != nil {
-		return nil, err
-	}
-	ctx := ctxOf(opts)
-	params := make([]hip.Params, x.D())
-	for i := 0; i < x.D(); i++ {
-		if err := ctx.Err(); err != nil {
-			return nil, fmt.Errorf("engine: hip fit cancelled: %w", err)
-		}
-		p, err := hip.Fit(x.Global(i), hip.Options{
-			Context:   ctx,
-			Promotion: opts.Promotion,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("engine: hip fit of keyword %q: %w", x.Keywords[i], err)
-		}
-		params[i] = p
-	}
-	var promo []float64
-	if opts.Promotion != nil {
-		promo = append([]float64(nil), opts.Promotion...)
-	}
-	return &HIPModel{
-		keywords:  append([]string(nil), x.Keywords...),
-		locations: append([]string(nil), x.Locations...),
-		ticks:     x.N(),
-		params:    params,
-		promotion: promo,
-	}, nil
-}
-
-func (hipEngine) Simulate(m Model, keyword string, n int) ([]float64, error) {
-	hm, err := asHIP(m)
-	if err != nil {
-		return nil, err
-	}
-	i, err := keywordIndex(m, keyword)
-	if err != nil {
-		return nil, err
-	}
-	return hm.params[i].Simulate(n, hm.promotion), nil
-}
-
-func (hipEngine) Forecast(m Model, keyword string, horizon int) ([]float64, error) {
-	hm, err := asHIP(m)
-	if err != nil {
-		return nil, err
-	}
-	i, err := keywordIndex(m, keyword)
-	if err != nil {
-		return nil, err
-	}
-	return hm.params[i].Forecast(hm.ticks, horizon, hm.promotion), nil
-}
-
-func (hipEngine) CodingCost(m Model, x *tensor.Tensor) (float64, error) {
-	hm, err := asHIP(m)
-	if err != nil {
-		return 0, err
-	}
-	n := x.N()
-	cost := header(x.D(), n)
-	for i := 0; i < x.D() && i < len(hm.params); i++ {
-		cost += mdl.FloatsCost(hip.ParamCount)
-		cost += gaussianResidualCost(x.Global(i), hm.params[i].Simulate(n, hm.promotion))
-	}
-	return cost, nil
-}
-
-// hipModelJSON is the persistence wire form.
-type hipModelJSON struct {
-	Engine    string       `json:"engine"`
-	Keywords  []string     `json:"keywords"`
-	Locations []string     `json:"locations"`
-	Ticks     int          `json:"ticks"`
-	Params    []hip.Params `json:"params"`
-	Promotion []float64    `json:"promotion,omitempty"`
-}
-
-func (hipEngine) EncodeModel(w io.Writer, m Model) error {
-	hm, err := asHIP(m)
-	if err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(hipModelJSON{
-		Engine: "hip", Keywords: hm.keywords, Locations: hm.locations,
-		Ticks: hm.ticks, Params: hm.params, Promotion: hm.promotion,
+			return nil
+		},
+		keepsPromotion: true,
 	})
-}
-
-func (hipEngine) DecodeModel(r io.Reader) (Model, error) {
-	var wire hipModelJSON
-	if err := json.NewDecoder(r).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("engine: decoding hip model: %w", err)
-	}
-	if wire.Engine != "" && wire.Engine != "hip" {
-		return nil, fmt.Errorf("engine: hip decoder got engine %q", wire.Engine)
-	}
-	m := &HIPModel{
-		keywords: wire.Keywords, locations: wire.Locations,
-		ticks: wire.Ticks, params: wire.Params, promotion: wire.Promotion,
-	}
-	if err := m.Validate(); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-func asHIP(m Model) (*HIPModel, error) {
-	hm, ok := m.(*HIPModel)
-	if !ok {
-		return nil, errors.New("engine: hip engine got a " + m.EngineName() + " model")
-	}
-	return hm, nil
 }

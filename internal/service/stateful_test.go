@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -15,8 +16,11 @@ import (
 	"time"
 
 	"dspot/internal/core"
+	"dspot/internal/dataset"
+	"dspot/internal/engine"
 	"dspot/internal/jobs"
 	"dspot/internal/registry"
+	"dspot/internal/tensor"
 )
 
 // statefulServer builds a server with a registry (persisted under dir when
@@ -513,5 +517,64 @@ func TestConcurrentStatefulTraffic(t *testing.T) {
 		default:
 			t.Errorf("job %s state %s", id, snap.State)
 		}
+	}
+}
+
+// TestEventsAreAListForEveryEngine pins DESIGN §8's events contract on both
+// event endpoints: every engine answers a JSON list, [] when its model has
+// no events, never null. A one-keyword logistic curve gives the per-keyword
+// families nothing to flag.
+func TestEventsAreAListForEveryEngine(t *testing.T) {
+	const n = 72
+	x := tensor.New([]string{"rise"}, []string{"us", "jp"}, n)
+	for i := 0; i < n; i++ {
+		rise := 100 / (1 + math.Exp(-0.15*(float64(i)-30)))
+		x.Set(0, 0, i, 0.6*rise)
+		x.Set(0, 1, i, 0.4*rise)
+	}
+	var buf bytes.Buffer
+	if err := dataset.WriteCSV(&buf, x); err != nil {
+		t.Fatal(err)
+	}
+	csv := buf.String()
+	srv, _, _ := statefulServer(t, "", jobs.Options{})
+	isList := func(t *testing.T, what, body string) {
+		t.Helper()
+		var resp struct {
+			Events json.RawMessage `json:"events"`
+		}
+		if err := json.Unmarshal([]byte(body), &resp); err != nil {
+			t.Fatalf("%s: %v: %s", what, err, body)
+		}
+		if !strings.HasPrefix(string(resp.Events), "[") {
+			t.Errorf("%s answered events %s, want a list", what, resp.Events)
+		}
+	}
+	for _, name := range engine.Names() {
+		t.Run(name, func(t *testing.T) {
+			if name == faulty.Name() {
+				t.Skip("the fault-injection engine fails its fits")
+			}
+			resp, model := post(t, srv.URL+"/v1/fit?global_only=1&no_growth=1&engine="+name,
+				"text/csv", csv)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("fit status %d: %s", resp.StatusCode, model)
+			}
+			resp, body := post(t, srv.URL+"/v1/events", "application/json", model)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("events status %d: %s", resp.StatusCode, body)
+			}
+			isList(t, "POST /v1/events", body)
+
+			jobID, modelID := submitFit(t, srv.URL, csv, "&engine="+name)
+			if snap := waitJob(t, srv.URL, jobID); snap.State != jobs.StateDone {
+				t.Fatalf("fit job ended %s: %s", snap.State, snap.Error)
+			}
+			resp, body = doRequest(t, http.MethodGet, srv.URL+"/v1/models/"+modelID+"/events")
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("model events status %d: %s", resp.StatusCode, body)
+			}
+			isList(t, "GET /v1/models/{id}/events", body)
+		})
 	}
 }
