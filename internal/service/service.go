@@ -49,6 +49,7 @@ import (
 	"dspot/internal/jobs"
 	"dspot/internal/obs/trace"
 	"dspot/internal/registry"
+	"dspot/internal/tensor"
 )
 
 // MaxBodyBytes is the default request-body bound (tensors can be large but
@@ -312,19 +313,7 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	// Mirror fit stage completions as child spans of the request span.
 	opts.Progress = chainProgress(opts.Progress,
 		fitSpanHook(s.Tracer, trace.SpanContextOf(r.Context()), engName))
-	var m engine.Model
-	var costs map[string]float64
-	if engName == engine.Auto {
-		m, costs, err = engine.AutoFit(x, opts)
-		if m != nil {
-			engName = m.EngineName()
-		}
-	} else {
-		var e engine.ModelEngine
-		if e, err = engine.Lookup(engName); err == nil {
-			m, err = e.Fit(x, opts)
-		}
-	}
+	m, costs, engName, err := fitWithEngine(x, opts, engName)
 	if ft != nil {
 		rep := ft.Report()
 		s.Metrics.ObserveFitReport(rep)
@@ -354,6 +343,26 @@ func (s *Server) handleFit(w http.ResponseWriter, r *http.Request) {
 	}
 	s.Metrics.ObserveFit(engName)
 	s.writeModel(w, m, costs)
+}
+
+// fitWithEngine fits x with the named engine, or under engine.Auto with
+// every engine (AutoFit). It returns the model, the auto cost table (nil for
+// a named fit) and the name of the engine that produced the model: the auto
+// winner's once there is one, engName otherwise.
+func fitWithEngine(x *tensor.Tensor, opts engine.FitOptions, engName string) (engine.Model, map[string]float64, string, error) {
+	if engName == engine.Auto {
+		m, costs, err := engine.AutoFit(x, opts)
+		if m != nil {
+			engName = m.EngineName()
+		}
+		return m, costs, engName, err
+	}
+	e, err := engine.Lookup(engName)
+	if err != nil {
+		return nil, nil, engName, err
+	}
+	m, err := e.Fit(x, opts)
+	return m, nil, engName, err
 }
 
 // writeModel answers a fit with the model in its engine's wire form. Auto
@@ -425,8 +434,8 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	s.writeJSON(w, map[string]any{"events": eventsOf(m)})
 }
 
-// eventsOf renders a model's detected events in wire form. Engines without
-// event structure (epidemic, hip) answer an empty list, not an error.
+// eventsOf renders a model's detected events in wire form. A model that
+// lists no events answers an empty list, not an error or null.
 func eventsOf(m engine.Model) []EventJSON {
 	if l, ok := m.(engine.EventLister); ok {
 		return l.Events()

@@ -208,20 +208,7 @@ func (s *Server) runFitJob(ctx context.Context, x *tensor.Tensor, opts engine.Fi
 	opts.Progress = chainProgress(ft.Hook(),
 		fitSpanHook(s.Tracer, trace.SpanContextOf(ctx), engName))
 	opts.Context = ctx
-	var m engine.Model
-	var costs map[string]float64
-	var err error
-	if engName == engine.Auto {
-		m, costs, err = engine.AutoFit(x, opts)
-		if m != nil {
-			engName = m.EngineName()
-		}
-	} else {
-		var e engine.ModelEngine
-		if e, err = engine.Lookup(engName); err == nil {
-			m, err = e.Fit(x, opts)
-		}
-	}
+	m, costs, engName, err := fitWithEngine(x, opts, engName)
 	rep := ft.Report()
 	s.Metrics.ObserveFitReport(rep)
 	if span := trace.SpanFromContext(ctx); span != nil {
