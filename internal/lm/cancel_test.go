@@ -48,7 +48,8 @@ func TestFitCancelMidRunStopsWithinOneIteration(t *testing.T) {
 		}
 		return rosenResiduals(p)
 	}
-	res, err := Fit(f, []float64{-1.2, 1}, Options{Ctx: ctx, MaxIter: 10000, Tol: 0})
+	p0 := []float64{-1.2, 1}
+	res, err := Fit(f, p0, Options{Ctx: ctx, MaxIter: 10000, Tol: 0})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -65,6 +66,17 @@ func TestFitCancelMidRunStopsWithinOneIteration(t *testing.T) {
 		if math.IsNaN(v) {
 			t.Fatalf("cancelled fit returned NaN params: %v", res.Params)
 		}
+	}
+	// The cancelled run hands back its best-so-far point, not the start: a
+	// finite SSE below the start's, at params that moved off it.
+	if math.IsInf(res.SSE, 0) || math.IsNaN(res.SSE) {
+		t.Fatalf("cancelled fit discarded its best-so-far SSE (got %v)", res.SSE)
+	}
+	if res.Params[0] == p0[0] && res.Params[1] == p0[1] {
+		t.Fatal("cancelled fit returned the starting point instead of its best params")
+	}
+	if start := sse(rosenResiduals(p0)); res.SSE >= start {
+		t.Fatalf("best-so-far SSE %v not better than the start's %v", res.SSE, start)
 	}
 }
 

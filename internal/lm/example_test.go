@@ -32,17 +32,3 @@ func ExampleFit() {
 	// Output:
 	// a=2.000 b=0.500 converged=true
 }
-
-// Bounded one-dimensional fitting via the convenience wrapper.
-func ExampleFit1D() {
-	// Solve x² = 2 for x in [0, 2].
-	x, _, err := lm.Fit1D(func(x float64) []float64 {
-		return []float64{x*x - 2}
-	}, 1, 0, 2, lm.Options{MaxIter: 200})
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("x=%.4f\n", x)
-	// Output:
-	// x=1.4142
-}

@@ -1,8 +1,6 @@
 package lm
 
 import (
-	"context"
-	"errors"
 	"math"
 	"testing"
 )
@@ -185,45 +183,5 @@ func TestConvergedVsStalled(t *testing.T) {
 	if exact.Converged || !exact.Stalled {
 		t.Fatalf("exact-minimum fit: converged=%v stalled=%v, want stalled only",
 			exact.Converged, exact.Stalled)
-	}
-}
-
-// TestFit1DKeepsBestOnCancel is the regression test for the best-so-far
-// discard: a cancelled Fit1D must hand back its best x and SSE alongside
-// the error, not the starting point with SSE=+Inf.
-func TestFit1DKeepsBestOnCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	evals := 0
-	f := func(x float64) []float64 {
-		evals++
-		if evals == 8 {
-			cancel()
-		}
-		// Slow 1-D valley: minimum at x = 1.5.
-		return []float64{math.Atan(x-1.5) * 10, (x - 1.5) / 4}
-	}
-	x0 := 4.0
-	x, sseV, err := Fit1D(f, x0, 0, 5, Options{MaxIter: 10000, Tol: 0, Ctx: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if math.IsInf(sseV, 1) {
-		t.Fatal("Fit1D discarded best-so-far SSE on cancel (got +Inf)")
-	}
-	if x == x0 {
-		t.Fatal("Fit1D returned the starting point instead of its best x")
-	}
-	start := sse(f(x0))
-	if sseV >= start {
-		t.Fatalf("best-so-far SSE %v not better than start %v", sseV, start)
-	}
-	// Setup failures still fall back to (x0, +Inf): bounds of mismatched
-	// shape never produce a result vector.
-	x, sseV, err = Fit1D(func(float64) []float64 { return nil }, x0, 0, 5, Options{})
-	if err == nil {
-		t.Fatal("expected error for empty residual vector")
-	}
-	if x != x0 || !math.IsInf(sseV, 1) {
-		t.Fatalf("setup failure: got (%v, %v), want (x0, +Inf)", x, sseV)
 	}
 }

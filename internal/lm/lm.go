@@ -399,21 +399,3 @@ func fitCore(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 	res.SSE = cur
 	return res, nil
 }
-
-// Fit1D is a convenience wrapper fitting a single bounded parameter. Like
-// Fit, it returns the best value found even on error — a cancelled run
-// hands back its best-so-far x and SSE alongside the wrapped ctx error, not
-// the starting point. Only when the run produced nothing at all (setup
-// errors) does it fall back to x0 with SSE = +Inf.
-func Fit1D(f func(x float64) []float64, x0, lo, hi float64, opts Options) (float64, float64, error) {
-	opts.Lower = []float64{lo}
-	opts.Upper = []float64{hi}
-	res, err := Fit(func(p []float64) []float64 { return f(p[0]) }, []float64{x0}, opts)
-	if err != nil {
-		if len(res.Params) == 1 {
-			return res.Params[0], res.SSE, err
-		}
-		return x0, math.Inf(1), err
-	}
-	return res.Params[0], res.SSE, nil
-}

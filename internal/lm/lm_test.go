@@ -159,17 +159,6 @@ func TestFitDoesNotMutateP0(t *testing.T) {
 	}
 }
 
-func TestFit1D(t *testing.T) {
-	f := func(x float64) []float64 { return []float64{x*x - 2} } // root at √2 within [0,2]
-	x, sse, err := Fit1D(f, 1, 0, 2, Options{MaxIter: 200})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(x-math.Sqrt2) > 1e-5 {
-		t.Fatalf("Fit1D = %g (sse %g), want √2", x, sse)
-	}
-}
-
 func TestFitSineFrequency(t *testing.T) {
 	// Fit amplitude and phase of a sinusoid (frequency known) — a smooth
 	// non-linear problem resembling seasonal fitting.
