@@ -7,12 +7,15 @@ package dataset
 import (
 	"encoding/csv"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 	"os"
+	"reflect"
 	"sort"
 	"strconv"
+	"strings"
 
 	"dspot/internal/core"
 	"dspot/internal/tensor"
@@ -175,7 +178,7 @@ func WriteModel(w io.Writer, m *core.Model) error {
 func ReadModel(r io.Reader) (*core.Model, error) {
 	var mj modelJSON
 	if err := json.NewDecoder(r).Decode(&mj); err != nil {
-		return nil, fmt.Errorf("dataset: decoding model: %w", err)
+		return nil, fmt.Errorf("dataset: decoding model: %w", WireError(err))
 	}
 	m := &core.Model{
 		Keywords: mj.Keywords, Locations: mj.Locations, Ticks: mj.Ticks,
@@ -186,6 +189,52 @@ func ReadModel(r io.Reader) (*core.Model, error) {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	return m, nil
+}
+
+// WireError rewrites a JSON type mismatch in err to name the wire field and
+// the JSON types, as in `field "ticks": got a JSON string, want an
+// integer`. encoding/json's own message names the Go struct type and
+// package the body decodes into, which are no part of the wire format and
+// change whenever the code does. Any other error is returned as it is.
+func WireError(err error) error {
+	var te *json.UnmarshalTypeError
+	if !errors.As(err, &te) {
+		return err
+	}
+	got := "a JSON " + te.Value // string, number, array or object
+	switch {
+	case te.Value == "bool":
+		got = "a JSON boolean"
+	case strings.HasPrefix(te.Value, "number "): // a number the type cannot hold
+		got = "the JSON " + te.Value
+	}
+	if te.Field == "" {
+		return fmt.Errorf("got %s, want %s", got, wireType(te.Type))
+	}
+	return fmt.Errorf("field %q: got %s, want %s", te.Field, got, wireType(te.Type))
+}
+
+// wireType names the JSON value a Go type decodes from.
+func wireType(t reflect.Type) string {
+	for t.Kind() == reflect.Pointer {
+		t = t.Elem()
+	}
+	switch t.Kind() {
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		return "an integer"
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		return "a non-negative integer"
+	case reflect.Float32, reflect.Float64:
+		return "a number"
+	case reflect.String:
+		return "a string"
+	case reflect.Bool:
+		return "true or false"
+	case reflect.Slice, reflect.Array:
+		return "an array"
+	default:
+		return "an object"
+	}
 }
 
 // SaveModel writes a model to a file path.

@@ -217,3 +217,19 @@ func TestSortedKeys(t *testing.T) {
 		t.Fatalf("SortedKeys = %v", got)
 	}
 }
+
+// ReadModel reports a mistyped field by its wire name and JSON types.
+func TestReadModelNamesWireField(t *testing.T) {
+	for body, want := range map[string]string{
+		`{"ticks": "x"}`:               `dataset: decoding model: field "ticks": got a JSON string, want an integer`,
+		`{"ticks": 1.5}`:               `dataset: decoding model: field "ticks": got the JSON number 1.5, want an integer`,
+		`{"keywords": {}}`:             `dataset: decoding model: field "keywords": got a JSON object, want an array`,
+		`{"global": [{"N": true}]}`:    `dataset: decoding model: field "global.N": got a JSON boolean, want a number`,
+		`{"shocks": [{"Start": "a"}]}`: `dataset: decoding model: field "shocks.Start": got a JSON string, want an integer`,
+		`"model"`:                      `dataset: decoding model: got a JSON string, want an object`,
+	} {
+		if _, err := ReadModel(strings.NewReader(body)); err == nil || err.Error() != want {
+			t.Errorf("ReadModel(%s) = %v, want %q", body, err, want)
+		}
+	}
+}

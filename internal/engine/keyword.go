@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 
+	"dspot/internal/dataset"
 	"dspot/internal/numcheck"
 	"dspot/internal/tensor"
 )
@@ -186,7 +187,7 @@ func (e *keywordEngine[P]) EncodeModel(w io.Writer, m Model) error {
 func (e *keywordEngine[P]) DecodeModel(r io.Reader) (Model, error) {
 	m := &keywordModel[P]{eng: e}
 	if err := json.NewDecoder(r).Decode(&m.s); err != nil {
-		return nil, fmt.Errorf("engine: decoding %s model: %w", e.name, err)
+		return nil, fmt.Errorf("engine: decoding %s model: %w", e.name, dataset.WireError(err))
 	}
 	if m.s.Engine != "" && m.s.Engine != e.name {
 		return nil, fmt.Errorf("engine: %s decoder got engine %q", e.name, m.s.Engine)

@@ -4,12 +4,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"dspot/internal/engine"
 	"dspot/internal/jobs"
 	"dspot/internal/registry"
 )
@@ -201,5 +203,43 @@ func TestJobFitRejectsDegenerateTensor(t *testing.T) {
 	}
 	if snaps := engine.List(); len(snaps) != 0 {
 		t.Fatalf("degenerate tensor consumed a queue slot: %+v", snaps)
+	}
+}
+
+// A model body with a mistyped field answers 400 naming the wire field and
+// the JSON types, never the Go types or packages it decodes into: on every
+// engine's decoder, and on the probe that reads the body's engine name
+// before routing it.
+func TestModelDecodeErrorNamesWireField(t *testing.T) {
+	srv := testServer(t)
+	type bad struct{ body, field string }
+	var cases []bad
+	for _, name := range engine.Names() {
+		if name == (&faultyEngine{}).Name() {
+			continue // chaos_test.go's stand-in, whose decoder is test code
+		}
+		cases = append(cases, bad{fmt.Sprintf(`{"engine": %q, "ticks": "x"}`, name), `field "ticks"`})
+	}
+	cases = append(cases,
+		bad{`{"engine": "funnel", "params": [{"N": "x"}]}`, `field "params.N"`},
+		bad{`{"engine": 7}`, `field "engine"`},
+		bad{`[1]`, "got a JSON array, want an object"})
+	for _, path := range []string{"/v1/forecast", "/v1/events"} {
+		for _, c := range cases {
+			resp, err := http.Post(srv.URL+path, "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var body struct{ Error string }
+			err = json.NewDecoder(resp.Body).Decode(&body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body.Error, c.field) ||
+				strings.Contains(body.Error, "Go struct field") || strings.Contains(body.Error, "dspot/internal") {
+				t.Errorf("%s %s: %d %q; want 400 naming %s and no Go type", path, c.body, resp.StatusCode, body.Error, c.field)
+			}
+		}
 	}
 }

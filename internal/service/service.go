@@ -415,7 +415,7 @@ func decodeModelJSON(raw []byte) (engine.Model, error) {
 		Engine string `json:"engine"`
 	}
 	if err := json.Unmarshal(raw, &probe); err != nil {
-		return nil, err
+		return nil, dataset.WireError(err)
 	}
 	return engine.Decode(probe.Engine, bytes.NewReader(raw))
 }
