@@ -41,18 +41,6 @@ func FitCtx(ctx context.Context, x *tensor.Tensor, opts FitOptions) (*Model, err
 	return Fit(x, opts)
 }
 
-// FitGlobalCtx is FitGlobal under a cancellation context (see FitCtx).
-func FitGlobalCtx(ctx context.Context, x *tensor.Tensor, opts FitOptions) (*Model, error) {
-	opts.Context = ctx
-	return FitGlobal(x, opts)
-}
-
-// FitLocalCtx is FitLocal under a cancellation context (see FitCtx).
-func FitLocalCtx(ctx context.Context, x *tensor.Tensor, m *Model, opts FitOptions) error {
-	opts.Context = ctx
-	return FitLocal(x, m, opts)
-}
-
 // ctxErr surfaces the configured fit context's error, if any.
 func (o FitOptions) ctxErr() error {
 	if o.Context == nil {

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -71,8 +69,8 @@ type FitOptions struct {
 	// local cell — checks it and returns an error wrapping context.Canceled
 	// or context.DeadlineExceeded promptly once it is done. Cancel-to-stop
 	// latency is bounded by one LM iteration, not one fit. The ctx-first
-	// wrappers (FitCtx, FitGlobalCtx, FitLocalCtx, Stream.AppendCtx) set
-	// this field for you. Nil means the fit runs to completion.
+	// wrappers (FitCtx, Stream.AppendCtx) set this field for you. Nil means
+	// the fit runs to completion.
 	Context context.Context
 	// Progress, when non-nil, receives a FitEvent at every stage boundary:
 	// per-keyword LM iteration counts and residuals, each shock candidate's
@@ -218,7 +216,7 @@ func (g *gfit) result(best gsnapshot, cost float64, rounds int) (GlobalFitResult
 	}
 	if g.opts.Progress != nil {
 		g.opts.Progress(FitEvent{Stage: StageKeyword, Keyword: g.keyword, Location: -1,
-			Round: rounds, LMIters: g.lmIters, LMStalls: g.lmStalls,
+			Round: rounds, LMIters: g.ms.Iterations, LMStalls: g.ms.Stalls,
 			Residual: cost, Duration: time.Since(g.start)})
 	}
 	return GlobalFitResult{Params: params, Shocks: best.shocks, Scale: g.scale, Cost: cost}, nil
@@ -241,8 +239,9 @@ type gfit struct {
 	params KeywordParams
 	shocks []Shock
 
-	lmIters  int // LM iterations spent on this keyword so far
-	lmStalls int // LM runs that ended Stalled (damping hit MaxLambda)
+	// ms runs the fit's LM schedules (multiStart) and keeps the LM
+	// iterations spent on this keyword so far and the runs that stalled.
+	ms lm.MultiStart
 
 	// The fit's own scratch (DESIGN.md, "Hot path & memory discipline"):
 	// the LM runs multiStart makes on the fit's goroutine assemble and
@@ -255,8 +254,7 @@ type gfit struct {
 	lmScratch
 	epsBase []float64
 
-	runs    []lmRun        // multiStart's runs, reused from call to call
-	running sync.WaitGroup // the runs on goroutines of their own
+	running sync.WaitGroup // the LM runs on goroutines of their own
 }
 
 // evaluateCandidate's budget on multiStart's schedule: of the 8
@@ -463,7 +461,7 @@ func extendBox(lo, hi []float64, k int, l, h float64) ([]float64, []float64) {
 // every production fit path: the Jacobian is dropped, falling back to
 // finite differences inside lm, when the caller opted into FDJacobian, and
 // the context stops a run within one LM iteration. A run writes only sc,
-// so the runs of a multiStart phase may run at once; multiStart adds each
+// so the runs of a multiStart phase may run at once; the schedule adds each
 // successful run's iterations and stall verdict to the fit's totals
 // (FitEvent.LMIters and LMStalls), on the analytic and FD paths alike.
 func (g *gfit) lmRunner(pr lmProblem) func(sc *lmScratch, p0 []float64, maxIter int) (lm.Result, error) {
@@ -495,51 +493,31 @@ func (g *gfit) lmRunner(pr lmProblem) func(sc *lmScratch, p0 []float64, maxIter 
 	}
 }
 
-// schedule is the LM budget of a multi-start fit (DESIGN.md §11): every
-// start is screened for screen iterations, then the keep best screened
-// endpoints resume for polish more. A polish of 0 screens only.
-type schedule struct{ screen, polish, keep int }
-
-// bySSE scores an LM endpoint by its SSE, the base and growth fits' measure.
-func bySSE(_ []float64, sse float64) float64 { return sse }
-
-// lmRun is one LM run of a multiStart phase: its start and, once the phase
-// is over, LM's result or why the run failed or never started.
-type lmRun struct {
-	p0  []float64
-	res lm.Result
-	err error
-}
-
 // multiStart runs pr from each start under sch, the two-phase schedule
-// every LM sub-problem of the global fit goes through, and returns the
-// endpoint with the lowest score, the first one on a tie, with that score
-// (nil and +Inf when no run succeeded). score rates the endpoint of each
-// successful run once, from its LM vector and LM's SSE there. Screening
-// runs every start; each screened endpoint remains a valid answer, and the
-// polish runs resume the keep best of them by (score, screening order).
-// Once the fit is cancelled no further run starts.
+// every LM sub-problem of the global fit goes through (lm.MultiStart), and
+// returns the endpoint with the lowest score, the first one on a tie, with
+// that score (nil and +Inf when no run succeeded). Once the fit is
+// cancelled no further run starts.
 //
 // The runs of a phase are independent, so they run concurrently, within
 // the Workers budget: a run takes a worker slot without blocking and runs
 // on a goroutine of its own, in the scratch the slot carries; the phase's
 // last run, and any run that finds no slot free, runs on the fit's
 // goroutine in the fit's own scratch, so at Workers 1 a phase is a plain
-// loop. When a phase is over, the fit's goroutine takes its runs in order
-// (screens in start order, polishes best first): it adds each run's
-// iterations and stall, scores its endpoint and keeps the best, so every
-// result and count is the same at every worker count. A panic on a run's
-// goroutine comes back as that run's error and stops the fit (stopErr).
-func (g *gfit) multiStart(pr lmProblem, starts [][]float64, sch schedule,
+// loop. The schedule merges a phase's runs in order on the fit's goroutine
+// once all are done, so every result and count is the same at every worker
+// count. A panic on a run's goroutine comes back as that run's error and
+// stops the fit (stopErr).
+func (g *gfit) multiStart(pr lmProblem, starts [][]float64, sch lm.Schedule,
 	score func(v []float64, sse float64) float64) ([]float64, float64) {
 	run := g.lmRunner(pr)
-	phase := func(runs []lmRun, iters int) {
+	return g.ms.Run(sch, starts, func(runs []lm.Run, iters int) {
 		wg := &g.running
 		defer wg.Wait() // an inline run's panic unwinds past no live run
 		for k := range runs {
 			r := &runs[k]
 			if g.cancelled() {
-				r.err = g.stop
+				r.Err = g.stop
 				continue
 			}
 			if k < len(runs)-1 {
@@ -548,66 +526,22 @@ func (g *gfit) multiStart(pr lmProblem, starts [][]float64, sch schedule,
 					wg.Add(1)
 					go func() {
 						defer func() { g.slots <- sc; wg.Done() }()
-						defer recoverRunPanic(&r.err)
-						r.res, r.err = run(sc, r.p0, iters)
+						defer recoverRunPanic(&r.Err)
+						r.Res, r.Err = run(sc, r.P0, iters)
 					}()
 					continue
 				default:
 				}
 			}
-			r.res, r.err = run(&g.lmScratch, r.p0, iters)
+			r.Res, r.Err = run(&g.lmScratch, r.P0, iters)
 		}
-	}
-	var best []float64
-	bestScore := math.Inf(1)
-	merge := func(r *lmRun) ([]float64, float64, bool) {
-		if r.err != nil {
-			var p *fitPanic
-			if errors.As(r.err, &p) && g.stop == nil {
+		wg.Wait()
+		for k := range runs { // a run goroutine's panic stops the fit
+			if p, ok := runs[k].Err.(*fitPanic); ok && g.stop == nil {
 				g.stop = p
 			}
-			return nil, 0, false
 		}
-		g.lmIters += r.res.Iterations
-		if r.res.Stalled {
-			g.lmStalls++
-		}
-		sc := score(r.res.Params, r.res.SSE)
-		if sc < bestScore {
-			best, bestScore = r.res.Params, sc
-		}
-		return r.res.Params, sc, true
-	}
-	type endpoint struct {
-		v     []float64
-		score float64
-	}
-	var screened []endpoint
-	if sch.polish > 0 {
-		screened = make([]endpoint, 0, len(starts))
-	}
-	runs := slices.Grow(g.runs[:0], len(starts))[:len(starts)]
-	g.runs = runs
-	for k, s0 := range starts {
-		runs[k] = lmRun{p0: s0}
-	}
-	phase(runs, sch.screen)
-	for k := range runs {
-		if v, sc, ok := merge(&runs[k]); ok && sch.polish > 0 {
-			screened = append(screened, endpoint{v: v, score: sc})
-		}
-	}
-	// Stable, so equal scores keep their screening order.
-	slices.SortStableFunc(screened, func(a, b endpoint) int { return cmp.Compare(a.score, b.score) })
-	runs = runs[:min(sch.keep, len(screened))]
-	for k := range runs {
-		runs[k] = lmRun{p0: screened[k].v}
-	}
-	phase(runs, sch.polish)
-	for k := range runs {
-		merge(&runs[k])
-	}
-	return best, bestScore
+	}, score)
 }
 
 type gsnapshot struct {
@@ -664,7 +598,7 @@ func (g *gfit) fitBase(multiStart bool) { g.fitBaseIter(multiStart, 120, true) }
 // budget is committed.
 func (g *gfit) fitBaseIter(multiStart bool, maxIter int, prune bool) {
 	t0 := g.traceNow()
-	itersBefore, stallsBefore := g.lmIters, g.lmStalls
+	itersBefore, stallsBefore := g.ms.Iterations, g.ms.Stalls
 	eps := g.epsilon()
 	pr := lmProblem{specs: BaseSensSpecs(), lo: baseLo, hi: baseHi,
 		assemble: func(sc *lmScratch, v []float64) (*KeywordParams, []float64) {
@@ -681,10 +615,10 @@ func (g *gfit) fitBaseIter(multiStart bool, maxIter int, prune bool) {
 		i0 := math.Max(g.seq[0], 1e-4)
 		starts = [][]float64{{math.Max(2*m, 0.05), 0.5, 0.45, 0.5, i0}}
 	}
-	sch := schedule{screen: maxIter} // a warm single start: one full-budget run
-	var groups [][2]int              // index ranges of the fast-mixing contact-rate sweeps
+	sch := lm.Schedule{Screen: maxIter} // a warm single start: one full-budget run
+	var groups [][2]int                 // index ranges of the fast-mixing contact-rate sweeps
 	if multiStart {
-		sch = schedule{screen: 10, polish: maxIter - 10, keep: 2}
+		sch = lm.Schedule{Screen: 10, Polish: maxIter - 10, Keep: 2}
 		base := starts[0]
 		// Data-derived initial infective fraction: the first observations
 		// divided by the population scale, so fast-mixing starts begin at
@@ -745,12 +679,12 @@ func (g *gfit) fitBaseIter(multiStart bool, maxIter int, prune bool) {
 		starts = pruned
 	}
 
-	best, bestSSE := g.multiStart(pr, starts, sch, bySSE)
+	best, bestSSE := g.multiStart(pr, starts, sch, lm.BySSE)
 	if best != nil {
 		g.params = g.withBase(best)
 	}
 	g.emit(FitEvent{Stage: StageBase, Keyword: g.keyword, Location: -1,
-		LMIters: g.lmIters - itersBefore, LMStalls: g.lmStalls - stallsBefore,
+		LMIters: g.ms.Iterations - itersBefore, LMStalls: g.ms.Stalls - stallsBefore,
 		Residual: bestSSE, Duration: sinceIfTraced(g, t0)})
 }
 
@@ -797,7 +731,7 @@ func (g *gfit) fitGrowth() {
 		return
 	}
 	start := g.traceNow()
-	itersBefore, stallsBefore := g.lmIters, g.lmStalls
+	itersBefore, stallsBefore := g.ms.Iterations, g.ms.Stalls
 	// Cheap pre-check: the growth effect raises the *base level*, so a
 	// series whose median level never shifts cannot carry one. Medians are
 	// robust to the shock spikes, so bursty-but-level series (the common
@@ -830,7 +764,7 @@ func (g *gfit) fitGrowth() {
 	// onsets: an η₀-only pass is too easily misled when the current base
 	// parameters have smeared the level shift.
 	screened := map[int]growthFit{}
-	_, _, err := optimize.RefiningGridCtx(g.ctx, func(t int) float64 {
+	_, _, err := optimize.RefiningGrid(g.ctx, func(t int) float64 {
 		f, ok := screened[t]
 		if !ok {
 			f = g.jointGrowthFit(t, eps, growthScreenIter, g.growthStarts(t, eps)...)
@@ -898,7 +832,7 @@ func (g *gfit) fitGrowth() {
 		g.params = withoutGrowth
 	}
 	g.emit(FitEvent{Stage: StageGrowth, Keyword: g.keyword, Location: -1,
-		LMIters: g.lmIters - itersBefore, LMStalls: g.lmStalls - stallsBefore,
+		LMIters: g.ms.Iterations - itersBefore, LMStalls: g.ms.Stalls - stallsBefore,
 		CostDelta: costWith - costWithout, Accepted: accepted,
 		Duration: sinceIfTraced(g, start)})
 }
@@ -920,7 +854,7 @@ func (f growthFit) params() KeywordParams {
 // tEta: the current base parameters with η₀ from a golden search, and a
 // canonical fast-mixing start.
 func (g *gfit) growthStarts(tEta int, eps []float64) [][]float64 {
-	eta0, _, _ := optimize.GoldenCtx(g.ctx, func(e float64) float64 {
+	eta0, _, _ := optimize.Golden(g.ctx, func(e float64) float64 {
 		cand := g.params
 		cand.TEta, cand.Eta0 = tEta, e
 		g.simBuf = SimulateInto(g.simBuf, &cand, g.n, eps, -1)
@@ -941,7 +875,7 @@ func (g *gfit) jointGrowthFit(tEta int, eps []float64, maxIter int, starts ...[]
 		assemble: func(sc *lmScratch, v []float64) (*KeywordParams, []float64) {
 			sc.cand = growthFit{tEta: tEta, v: v}.params()
 			return &sc.cand, eps
-		}}, starts, schedule{screen: maxIter}, bySSE)
+		}}, starts, lm.Schedule{Screen: maxIter}, lm.BySSE)
 	if v == nil {
 		v = starts[0]
 	}
@@ -965,7 +899,7 @@ func (g *gfit) growShocks() {
 	cur := g.cost()
 	for len(g.shocks) < g.opts.MaxShocks && !g.cancelled() {
 		start := g.traceNow()
-		itersBefore, stallsBefore := g.lmIters, g.lmStalls
+		itersBefore, stallsBefore := g.ms.Iterations, g.ms.Stalls
 		cand, params, cost, ok := g.bestShockCandidate()
 		if !ok {
 			break
@@ -974,8 +908,8 @@ func (g *gfit) growShocks() {
 		if g.opts.Progress != nil {
 			sc := cand // stable copy: the live shock keeps being refined
 			g.opts.Progress(FitEvent{Stage: StageShock, Keyword: g.keyword,
-				Location: -1, LMIters: g.lmIters - itersBefore,
-				LMStalls: g.lmStalls - stallsBefore, CostDelta: cost - cur,
+				Location: -1, LMIters: g.ms.Iterations - itersBefore,
+				LMStalls: g.ms.Stalls - stallsBefore, CostDelta: cost - cur,
 				Accepted: accepted, Shock: &sc, Duration: time.Since(start)})
 		}
 		if !accepted {
@@ -1294,7 +1228,7 @@ func (g *gfit) evaluateCandidate(s Shock) (Shock, KeywordParams, float64) {
 	if c := costOf(p0, 0); c < bestCost {
 		best, bestCost = p0, c
 	}
-	sch := schedule{screen: candScreenIter, polish: candPolishIter, keep: candPolish}
+	sch := lm.Schedule{Screen: candScreenIter, Polish: candPolishIter, Keep: candPolish}
 	if v, c := g.multiStart(pr, starts, sch, costOf); c < bestCost {
 		best, bestCost = v, c
 	}
@@ -1390,7 +1324,7 @@ func (g *gfit) searchStrength(k *sivKernel, ckpt sivPoint, shocks []Shock, s *Sh
 		k.run(ckpt, lo, g.epsBuf[lo:end], g.simBuf[lo:end])
 		return stats.SSE(g.seq[lo:end], g.simBuf[lo:end])
 	}
-	strength, _, _ := optimize.GoldenCtx(g.ctx, obj, 0, hi, 1e-3, 60)
+	strength, _, _ := optimize.Golden(g.ctx, obj, 0, hi, 1e-3, 60)
 	if strength < 1e-3 {
 		strength = 0
 	}
@@ -1428,7 +1362,7 @@ func (g *gfit) refineStrengths() {
 			sc.epsBuf = epsilonInto(ensureLen(sc.epsBuf, g.n), 0, g.shocks, false, nil)
 			return &g.params, sc.epsBuf
 		}}
-	best, _ := g.multiStart(pr, [][]float64{p0}, schedule{screen: 60}, bySSE)
+	best, _ := g.multiStart(pr, [][]float64{p0}, lm.Schedule{Screen: 60}, lm.BySSE)
 	if best == nil {
 		best = p0 // restore
 	}
@@ -1455,8 +1389,8 @@ func (g *gfit) maskedBaseParams(s *Shock) KeywordParams {
 		slots: g.slots}
 	sub.params = KeywordParams{TEta: g.params.TEta, Eta0: g.params.Eta0}
 	sub.fitBaseIter(true, 40, true)
-	g.lmIters += sub.lmIters
-	g.lmStalls += sub.lmStalls
+	g.ms.Iterations += sub.ms.Iterations
+	g.ms.Stalls += sub.ms.Stalls
 	if g.stop == nil {
 		g.stop = sub.stop // a panic of one of the sub-fit's runs stops this fit too
 	}

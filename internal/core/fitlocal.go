@@ -90,7 +90,7 @@ func (m *Model) localFitKeywordLocation(i, j int, seq []float64, shocks []Shock,
 	for round := 0; round < 2 && !cancelled(); round++ {
 		// (a) Potential population b^(L)_ij. ε does not depend on nij, so
 		// the profile stays valid across evaluations.
-		nij, _, _ = optimize.GoldenCtx(ctx, func(v float64) float64 {
+		nij, _, _ = optimize.Golden(ctx, func(v float64) float64 {
 			save := nij
 			nij = v
 			sse := stats.SSE(seq, localSim())
@@ -100,7 +100,7 @@ func (m *Model) localFitKeywordLocation(i, j int, seq []float64, shocks []Shock,
 
 		// (b) Growth rate r^(L)_ij (ε-independent as well).
 		if p.HasGrowth() {
-			rij, _, _ = optimize.GoldenCtx(ctx, func(v float64) float64 {
+			rij, _, _ = optimize.Golden(ctx, func(v float64) float64 {
 				save := rij
 				rij = v
 				sse := stats.SSE(seq, localSim())
@@ -147,7 +147,7 @@ func (m *Model) localFitKeywordLocation(i, j int, seq []float64, shocks []Shock,
 				fit := func(str float64) float64 {
 					return sseVsZero(window(str))
 				}
-				best, _, _ := optimize.GoldenCtx(ctx, fit, 0, maxShockStrength, 1e-3, 60)
+				best, _, _ := optimize.Golden(ctx, fit, 0, maxShockStrength, 1e-3, 60)
 				setStrength(save)
 				// MDL gate: a non-zero entry must repay its description cost
 				// relative to not participating at all.

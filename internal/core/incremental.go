@@ -425,7 +425,7 @@ func (s *Stream) fitTailStrength(cand *Shock, t0 int) (float64, float64) {
 // Incremental maintenance is bounded-time by construction, so it runs
 // uncancellable (nil ctx): there is no long fit to interrupt.
 func goldenStrength(obj func(float64) float64) (float64, float64, error) {
-	return optimize.GoldenCtx(nil, obj, 0, maxShockStrength, 1e-3, 60)
+	return optimize.Golden(nil, obj, 0, maxShockStrength, 1e-3, 60)
 }
 
 // tailSSEFrom simulates [t0, head) with the current shock set from the ring

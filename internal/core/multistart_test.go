@@ -9,6 +9,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"dspot/internal/lm"
 )
 
 // scheduleFixture is a small base-fit LM problem over a synthetic
@@ -77,14 +79,14 @@ func sameVec(a, b []float64) bool {
 // run concurrently, and the fit's goroutine still scores the same
 // endpoints in the same order.
 func TestMultiStartScheduleContract(t *testing.T) {
-	sch := schedule{screen: 4, polish: 6, keep: 2}
+	sch := lm.Schedule{Screen: 4, Polish: 6, Keep: 2}
 
 	// The oracle: every run the schedule should make, made one at a time.
 	g, pr, _ := scheduleFixture(1)
 	run := g.lmRunner(pr)
 	var screens [][]float64
 	for _, s0 := range scheduleStarts {
-		if res, err := run(&g.lmScratch, s0, sch.screen); err == nil {
+		if res, err := run(&g.lmScratch, s0, sch.Screen); err == nil {
 			screens = append(screens, res.Params)
 		}
 	}
@@ -92,7 +94,7 @@ func TestMultiStartScheduleContract(t *testing.T) {
 		t.Fatalf("%d of 5 starts ran, want 4 (the short one fails)", len(screens))
 	}
 	polish := func(v []float64) []float64 {
-		res, err := run(&g.lmScratch, v, sch.polish)
+		res, err := run(&g.lmScratch, v, sch.Polish)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +108,7 @@ func TestMultiStartScheduleContract(t *testing.T) {
 	}
 }
 
-func testMultiStartSchedule(t *testing.T, workers int, sch schedule, screens [][]float64, polish func([]float64) []float64) {
+func testMultiStartSchedule(t *testing.T, workers int, sch lm.Schedule, screens [][]float64, polish func([]float64) []float64) {
 	// Screens score 3, 1, 1, 2: the second and third successful starts tie
 	// for best, and the earlier one polishes first.
 	for _, tc := range []struct {
@@ -138,7 +140,7 @@ func testMultiStartSchedule(t *testing.T, workers int, sch schedule, screens [][
 	// Screen only.
 	g, pr, _ := scheduleFixture(workers)
 	rec, score := recordingScore(3, 1, 1, 2)
-	best, _ := g.multiStart(pr, scheduleStarts, schedule{screen: 4, keep: 2}, score)
+	best, _ := g.multiStart(pr, scheduleStarts, lm.Schedule{Screen: 4, Keep: 2}, score)
 	if len(*rec) != 4 || !sameVec(best, screens[1]) {
 		t.Fatalf("polish 0: %d scored endpoints and best %v, want the 4 screens and %v", len(*rec), best, screens[1])
 	}
@@ -150,9 +152,9 @@ func testMultiStartSchedule(t *testing.T, workers int, sch schedule, screens [][
 	g.ctx = ctx
 	rec, score = recordingScore()
 	best, bestScore := g.multiStart(pr, scheduleStarts, sch, score)
-	if best != nil || !math.IsInf(bestScore, 1) || len(*rec) != 0 || calls.Load() != 0 || g.lmIters != 0 {
+	if best != nil || !math.IsInf(bestScore, 1) || len(*rec) != 0 || calls.Load() != 0 || g.ms.Iterations != 0 {
 		t.Fatalf("cancelled: best %v scoring %g after %d scores, %d evaluations and %d LM iterations; want no LM run",
-			best, bestScore, len(*rec), calls.Load(), g.lmIters)
+			best, bestScore, len(*rec), calls.Load(), g.ms.Iterations)
 	}
 }
 
@@ -169,7 +171,7 @@ func TestMultiStartLastRunInline(t *testing.T) {
 		}
 		return assemble(sc, v)
 	}
-	if best, _ := g.multiStart(pr, scheduleStarts[:1], schedule{screen: 4, polish: 6, keep: 1}, bySSE); best == nil {
+	if best, _ := g.multiStart(pr, scheduleStarts[:1], lm.Schedule{Screen: 4, Polish: 6, Keep: 1}, lm.BySSE); best == nil {
 		t.Fatal("the single start did not run")
 	}
 	if n := elsewhere.Load(); n != 0 {
@@ -201,7 +203,7 @@ func TestMultiStartRunContainsPanic(t *testing.T) {
 		}
 		fit := func() (err error) {
 			defer recoverFitPanic(g.opts, g.keyword, -1, &err)
-			g.multiStart(boom, scheduleStarts, schedule{screen: 4, polish: 6, keep: 2}, bySSE)
+			g.multiStart(boom, scheduleStarts, lm.Schedule{Screen: 4, Polish: 6, Keep: 2}, lm.BySSE)
 			return g.stopErr("fit")
 		}
 		err := fit()
@@ -220,7 +222,7 @@ func TestMultiStartRunContainsPanic(t *testing.T) {
 		}
 		// The handed-over panic stopped the fit: no further run starts.
 		calls.Store(0)
-		if best, _ := g.multiStart(pr, scheduleStarts, schedule{screen: 4}, bySSE); best != nil || calls.Load() != 0 {
+		if best, _ := g.multiStart(pr, scheduleStarts, lm.Schedule{Screen: 4}, lm.BySSE); best != nil || calls.Load() != 0 {
 			t.Fatalf("Workers %d: a run started after the panic (%d evaluations)", workers, calls.Load())
 		}
 	}

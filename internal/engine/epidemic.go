@@ -49,7 +49,7 @@ func fitEpidemicKind(ctx context.Context, seq []float64, _ FitOptions) (epidemic
 	bestCost := math.Inf(1)
 	var firstErr error
 	for _, kind := range []epidemic.Kind{epidemic.SI, epidemic.SIR, epidemic.SIRS, epidemic.SKIPS} {
-		p, err := epidemic.FitCtx(ctx, kind, seq)
+		p, err := epidemic.Fit(ctx, kind, seq)
 		if err != nil {
 			if ctx.Err() != nil {
 				return best, err

@@ -60,7 +60,7 @@ func TestConformanceFitGolden(t *testing.T) {
 		h := fnv.New64a()
 		for i := range trends.D() {
 			for _, kind := range []epidemic.Kind{epidemic.SI, epidemic.SIR, epidemic.SIRS, epidemic.SKIPS} {
-				p, err := epidemic.FitCtx(context.Background(), kind, trends.Global(i))
+				p, err := epidemic.Fit(context.Background(), kind, trends.Global(i))
 				if err != nil {
 					t.Fatalf("keyword %d, %v: %v", i, kind, err)
 				}

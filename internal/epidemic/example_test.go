@@ -1,6 +1,7 @@
 package epidemic_test
 
 import (
+	"context"
 	"fmt"
 
 	"dspot/internal/epidemic"
@@ -27,7 +28,7 @@ func ExampleFit() {
 	truth := epidemic.Params{Kind: epidemic.SIRS, N: 300, Beta: 0.9,
 		Delta: 0.3, Gamma: 0.04, I0: 0.01}
 	obs := truth.Simulate(200)
-	fitted, err := epidemic.Fit(epidemic.SIRS, obs)
+	fitted, err := epidemic.Fit(context.Background(), epidemic.SIRS, obs)
 	if err != nil {
 		panic(err)
 	}

@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"dspot/internal/lm"
 	"dspot/internal/stats"
@@ -116,22 +117,20 @@ func clamp01(v float64) float64 {
 }
 
 // Fit fits a model of the given kind to seq by Levenberg–Marquardt on
-// normalised data, trying a small deterministic set of starting points and
-// returning the best. Missing (NaN) observations are skipped.
-func Fit(kind Kind, seq []float64) (Params, error) {
-	return FitCtx(context.Background(), kind, seq)
-}
-
-// FitCtx is Fit under a cancellation context: once ctx ends, the LM
-// iterations and remaining starting points stop cooperatively and the error
-// wraps context.Canceled or context.DeadlineExceeded.
-func FitCtx(ctx context.Context, kind Kind, seq []float64) (Params, error) {
+// normalised data, running a small deterministic set of starting points
+// through lm's multi-start schedule (for SKIPS, per candidate period) and
+// returning the best by SSE, the first on a tie. Missing (NaN) observations
+// are skipped. Once ctx ends, the LM iterations and remaining starting
+// points stop cooperatively and the error wraps context.Canceled or
+// context.DeadlineExceeded.
+func Fit(ctx context.Context, kind Kind, seq []float64) (Params, error) {
 	if tensor.ObservedCount(seq) < 4 {
 		return Params{}, errors.New("epidemic: sequence too short to fit")
 	}
 	norm, scale := tensor.Normalize(seq)
 	n := len(norm)
 
+	var ms lm.MultiStart
 	best := Params{Kind: kind}
 	bestSSE := math.Inf(1)
 
@@ -171,10 +170,10 @@ func FitCtx(ctx context.Context, kind Kind, seq []float64) (Params, error) {
 			}
 			return p
 		}
-		resid := func(v []float64) []float64 {
+		resid := func(dst, v []float64) []float64 {
 			cand := build(v)
 			sim := cand.Simulate(n)
-			r := make([]float64, n)
+			r := slices.Grow(dst[:0], n)[:n]
 			for t := range r {
 				if tensor.IsMissing(norm[t]) {
 					r[t] = math.NaN()
@@ -185,20 +184,15 @@ func FitCtx(ctx context.Context, kind Kind, seq []float64) (Params, error) {
 			return r
 		}
 		// Deterministic multi-start over contact-rate scales.
+		var starts [][]float64
 		for _, betaStart := range []float64{0.2, 0.8, 2.0} {
-			if ctx.Err() != nil {
-				return
-			}
 			start := append([]float64(nil), p0...)
 			start[1] = betaStart
-			res, err := lm.Fit(resid, start, lm.Options{MaxIter: 120, Lower: lo, Upper: hi, Ctx: ctx})
-			if err != nil {
-				continue
-			}
-			if res.SSE < bestSSE {
-				bestSSE = res.SSE
-				best = build(res.Params)
-			}
+			starts = append(starts, start)
+		}
+		v, sse := ms.Fit(resid, starts, lm.Schedule{Screen: 120}, lm.Options{Lower: lo, Upper: hi, Ctx: ctx})
+		if sse < bestSSE {
+			bestSSE, best = sse, build(v)
 		}
 	}
 
@@ -230,13 +224,4 @@ func FitCtx(ctx context.Context, kind Kind, seq []float64) (Params, error) {
 	}
 	best.N *= scale // undo normalisation
 	return best, nil
-}
-
-// FitAndSimulate is a convenience helper returning the fitted curve for seq.
-func FitAndSimulate(kind Kind, seq []float64) ([]float64, Params, error) {
-	p, err := Fit(kind, seq)
-	if err != nil {
-		return nil, Params{}, err
-	}
-	return p.Simulate(len(seq)), p, nil
 }

@@ -1,6 +1,7 @@
 package epidemic
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -99,7 +100,7 @@ func TestBetaSeasonalNonNegative(t *testing.T) {
 func TestFitRecoversSIR(t *testing.T) {
 	truth := Params{Kind: SIR, N: 500, Beta: 1.1, Delta: 0.25, I0: 0.005}
 	obs := truth.Simulate(150)
-	got, err := Fit(SIR, obs)
+	got, err := Fit(context.Background(), SIR, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestFitRecoversSIR(t *testing.T) {
 func TestFitRecoversSIRS(t *testing.T) {
 	truth := Params{Kind: SIRS, N: 300, Beta: 0.9, Delta: 0.3, Gamma: 0.04, I0: 0.01}
 	obs := truth.Simulate(200)
-	got, err := Fit(SIRS, obs)
+	got, err := Fit(context.Background(), SIRS, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +128,7 @@ func TestFitSKIPSFindsPeriodicity(t *testing.T) {
 	truth := Params{Kind: SKIPS, N: 400, Beta: 1.0, Delta: 0.3, Gamma: 0.06,
 		I0: 0.01, Period: 52, Amp: 0.5, Phase: 0.3}
 	obs := truth.Simulate(312)
-	got, err := Fit(SKIPS, obs)
+	got, err := Fit(context.Background(), SKIPS, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,11 +140,11 @@ func TestFitSKIPSFindsPeriodicity(t *testing.T) {
 }
 
 func TestFitTooShort(t *testing.T) {
-	if _, err := Fit(SIR, []float64{1, 2}); err == nil {
+	if _, err := Fit(context.Background(), SIR, []float64{1, 2}); err == nil {
 		t.Fatal("short sequence accepted")
 	}
 	nan := math.NaN()
-	if _, err := Fit(SIR, []float64{nan, nan, nan, nan, nan}); err == nil {
+	if _, err := Fit(context.Background(), SIR, []float64{nan, nan, nan, nan, nan}); err == nil {
 		t.Fatal("all-missing sequence accepted")
 	}
 }
@@ -154,27 +155,13 @@ func TestFitSkipsMissing(t *testing.T) {
 	for i := 10; i < 150; i += 13 {
 		obs[i] = math.NaN()
 	}
-	got, err := Fit(SIR, obs)
+	got, err := Fit(context.Background(), SIR, obs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rmse := stats.RMSE(truth.Simulate(150), got.Simulate(150))
 	if rmse > truth.N*0.05 {
 		t.Fatalf("fit with missing data RMSE %g", rmse)
-	}
-}
-
-func TestFitAndSimulateLength(t *testing.T) {
-	obs := (&Params{Kind: SIR, N: 100, Beta: 1, Delta: 0.3, I0: 0.01}).Simulate(80)
-	curve, p, err := FitAndSimulate(SIR, obs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curve) != 80 {
-		t.Fatalf("curve length %d", len(curve))
-	}
-	if p.Kind != SIR {
-		t.Fatalf("kind %v", p.Kind)
 	}
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -71,10 +72,10 @@ func Fig9Global(cfg Config) (Fig9Result, error) {
 
 		add("D-SPOT", stats.RMSE(obs, m.SimulateGlobal(i, n)), peak)
 
-		if p, err := epidemic.Fit(epidemic.SIRS, obs); err == nil {
+		if p, err := epidemic.Fit(context.Background(), epidemic.SIRS, obs); err == nil {
 			add("SIRS", stats.RMSE(obs, p.Simulate(n)), peak)
 		}
-		if p, err := epidemic.Fit(epidemic.SKIPS, obs); err == nil {
+		if p, err := epidemic.Fit(context.Background(), epidemic.SKIPS, obs); err == nil {
 			add("SKIPS", stats.RMSE(obs, p.Simulate(n)), peak)
 		}
 		if p, err := funnel.Fit(obs, funnel.Options{}); err == nil {
@@ -155,10 +156,10 @@ func Fig9Local(cfg Config) (Fig9Result, error) {
 					est := funnel.SimulateLocal(funnelGlobal, funnelScales[j], n)
 					c.rmse["FUNNEL"] = stats.RMSE(seq, est) / peak
 				}
-				if p, err := epidemic.Fit(epidemic.SIRS, seq); err == nil {
+				if p, err := epidemic.Fit(context.Background(), epidemic.SIRS, seq); err == nil {
 					c.rmse["SIRS"] = stats.RMSE(seq, p.Simulate(n)) / peak
 				}
-				if p, err := epidemic.Fit(epidemic.SKIPS, seq); err == nil {
+				if p, err := epidemic.Fit(context.Background(), epidemic.SKIPS, seq); err == nil {
 					c.rmse["SKIPS"] = stats.RMSE(seq, p.Simulate(n)) / peak
 				}
 				cells[j] = c

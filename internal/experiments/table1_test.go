@@ -6,6 +6,7 @@ package experiments
 // than assertion.
 
 import (
+	"context"
 	"testing"
 
 	"dspot/internal/arima"
@@ -93,7 +94,7 @@ func TestTable1ForecastingGap(t *testing.T) {
 	obs := grammySeries(t)
 	train, test := obs[:400], obs[400:]
 
-	sirs, err := epidemic.Fit(epidemic.SIRS, train)
+	sirs, err := epidemic.Fit(context.Background(), epidemic.SIRS, train)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"dspot/internal/lm"
@@ -107,10 +108,13 @@ func clamp01(v float64) float64 {
 	return v
 }
 
+// calendarPeriods are the seasonal periods Fit tries besides the data's
+// autocorrelation peaks.
+var calendarPeriods = []int{52, 26, 12, 7}
+
 // Options tunes the fitting procedure.
 type Options struct {
-	MaxShocks       int   // default 10
-	CalendarPeriods []int // candidate seasonal periods; default {52, 26, 12, 7}
+	MaxShocks int // default 10
 
 	// Context cancels the fit cooperatively (between LM iterations, period
 	// candidates and shock candidates); the error then wraps
@@ -122,15 +126,13 @@ func (o Options) withDefaults() Options {
 	if o.MaxShocks <= 0 {
 		o.MaxShocks = 10
 	}
-	if o.CalendarPeriods == nil {
-		o.CalendarPeriods = []int{52, 26, 12, 7}
-	}
 	return o
 }
 
 // Fit fits the FUNNEL model to one sequence: base + seasonality by LM with
 // the period selected from autocorrelation/calendar candidates, then greedy
-// MDL-gated one-shot shock discovery.
+// MDL-gated one-shot shock discovery. Every LM fit runs its starts through
+// lm's multi-start schedule.
 func Fit(seq []float64, opts Options) (Params, error) {
 	opts = opts.withDefaults()
 	ctx := opts.Context
@@ -144,8 +146,9 @@ func Fit(seq []float64, opts Options) (Params, error) {
 	n := len(norm)
 
 	periods := append([]int{0}, stats.DominantPeriods(norm, 3, 4, 0.1)...)
-	periods = append(periods, opts.CalendarPeriods...)
+	periods = append(periods, calendarPeriods...)
 	seen := map[int]bool{}
+	var ms lm.MultiStart
 
 	best := Params{}
 	bestCost := math.Inf(1)
@@ -157,7 +160,7 @@ func Fit(seq []float64, opts Options) (Params, error) {
 			continue
 		}
 		seen[period] = true
-		p, cost := fitWithPeriod(ctx, norm, n, period, opts)
+		p, cost := fitWithPeriod(ctx, &ms, norm, n, period, opts)
 		if cost < bestCost {
 			bestCost, best = cost, p
 		}
@@ -173,26 +176,18 @@ func Fit(seq []float64, opts Options) (Params, error) {
 }
 
 // fitWithPeriod fits base+seasonality for one fixed period, then shocks.
-func fitWithPeriod(ctx context.Context, norm []float64, n, period int, opts Options) (Params, float64) {
+// Its LM fits run on ms.
+func fitWithPeriod(ctx context.Context, ms *lm.MultiStart, norm []float64, n, period int, opts Options) (Params, float64) {
 	p := Params{Period: period}
-	fitBase(ctx, &p, norm, n, true)
-	detectShocks(ctx, &p, norm, n, opts.MaxShocks)
-	fitBase(ctx, &p, norm, n, false)
+	fitBase(ctx, ms, &p, norm, n, true)
+	detectShocks(ctx, ms, &p, norm, n, opts.MaxShocks)
+	fitBase(ctx, ms, &p, norm, n, false)
 	return p, cost(&p, norm, n)
 }
 
 // cost is the MDL objective: Gaussian coding of residuals + shock cost.
 func cost(p *Params, norm []float64, n int) float64 {
-	sim := p.Simulate(n)
-	res := make([]float64, n)
-	for t := range res {
-		if tensor.IsMissing(norm[t]) {
-			res[t] = tensor.Missing
-			continue
-		}
-		res[t] = norm[t] - sim[t]
-	}
-	c := mdl.GaussianCost(res)
+	c := mdl.GaussianCost(residuals(nil, norm, p.Simulate(n)))
 	c += mdl.LogStar(len(p.Shocks))
 	c += float64(len(p.Shocks)) * (2*mdl.IntCost(n) + mdl.FloatCost)
 	if p.Period > 0 {
@@ -201,8 +196,10 @@ func cost(p *Params, norm []float64, n int) float64 {
 	return c
 }
 
-func residuals(norm, sim []float64) []float64 {
-	res := make([]float64, len(norm))
+// residuals writes norm − sim into dst (reallocated when too small), with
+// NaN at the missing ticks, and returns it.
+func residuals(dst, norm, sim []float64) []float64 {
+	res := slices.Grow(dst[:0], len(norm))[:len(norm)]
 	for t := range res {
 		if tensor.IsMissing(norm[t]) {
 			res[t] = tensor.Missing
@@ -213,8 +210,9 @@ func residuals(norm, sim []float64) []float64 {
 	return res
 }
 
-// fitBase runs LM over the continuous parameters with shocks fixed.
-func fitBase(ctx context.Context, p *Params, norm []float64, n int, multiStart bool) {
+// fitBase runs LM over the continuous parameters with shocks fixed, its
+// starts scheduled on ms.
+func fitBase(ctx context.Context, ms *lm.MultiStart, p *Params, norm []float64, n int, multiStart bool) {
 	seasonal := p.Period > 0
 	dim := 5
 	if seasonal {
@@ -228,9 +226,9 @@ func fitBase(ctx context.Context, p *Params, norm []float64, n int, multiStart b
 		}
 		return q
 	}
-	resid := func(v []float64) []float64 {
+	resid := func(dst, v []float64) []float64 {
 		q := build(v)
-		return residuals(norm, q.Simulate(n))
+		return residuals(dst, norm, q.Simulate(n))
 	}
 	lo := []float64{1e-4, 1e-4, 1e-4, 1e-4, 1e-7, 0, -math.Pi}[:dim]
 	hi := []float64{20, 5, 2, 2, 1, 1, math.Pi}[:dim]
@@ -253,33 +251,20 @@ func fitBase(ctx context.Context, p *Params, norm []float64, n int, multiStart b
 		}
 	}
 
-	bestSSE := math.Inf(1)
-	var bestV []float64
-	for _, st := range starts {
-		if ctx.Err() != nil {
-			return
-		}
-		res, err := lm.Fit(resid, st, lm.Options{MaxIter: 100, Lower: lo, Upper: hi, Ctx: ctx})
-		if err != nil {
-			continue
-		}
-		if res.SSE < bestSSE {
-			bestSSE, bestV = res.SSE, res.Params
-		}
-	}
+	bestV, _ := ms.Fit(resid, starts, lm.Schedule{Screen: 100}, lm.Options{Lower: lo, Upper: hi, Ctx: ctx})
 	if bestV != nil {
 		*p = build(bestV)
 	}
 }
 
 // detectShocks greedily adds one-shot shocks while the MDL cost improves.
-func detectShocks(ctx context.Context, p *Params, norm []float64, n, maxShocks int) {
+func detectShocks(ctx context.Context, ms *lm.MultiStart, p *Params, norm []float64, n, maxShocks int) {
 	cur := cost(p, norm, n)
 	for len(p.Shocks) < maxShocks {
 		if ctx.Err() != nil {
 			return
 		}
-		res := residuals(norm, p.Simulate(n))
+		res := residuals(nil, norm, p.Simulate(n))
 		_, sigma2 := mdl.ResidualNoise(res)
 		level := math.Max(2*math.Sqrt(sigma2), 0.08*stats.Max(norm))
 		peaks := stats.FindPeaks(res, level)
@@ -310,7 +295,7 @@ func detectShocks(ctx context.Context, p *Params, norm []float64, n, maxShocks i
 			q := *p
 			q.Shocks = append(append([]Shock(nil), p.Shocks...), s)
 			self := &q.Shocks[len(q.Shocks)-1]
-			strength, _ := optimize.Golden(func(e float64) float64 {
+			strength, _, _ := optimize.Golden(ctx, func(e float64) float64 {
 				self.Strength = e
 				return stats.SSE(norm, q.Simulate(n))
 			}, 0, 2, 1e-5, 60)
@@ -319,9 +304,9 @@ func detectShocks(ctx context.Context, p *Params, norm []float64, n, maxShocks i
 			// systematically under-rate shock candidates (the modelled
 			// spike drags an artificial dip), so refit the base with the
 			// shock present, then re-fit the strength.
-			fitBase(ctx, &q, norm, n, true)
+			fitBase(ctx, ms, &q, norm, n, true)
 			self = &q.Shocks[len(q.Shocks)-1]
-			strength, _ = optimize.Golden(func(e float64) float64 {
+			strength, _, _ = optimize.Golden(ctx, func(e float64) float64 {
 				self.Strength = e
 				return stats.SSE(norm, q.Simulate(n))
 			}, 0, 2, 1e-5, 60)

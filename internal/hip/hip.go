@@ -16,8 +16,9 @@
 // Fitting is Levenberg–Marquardt (internal/lm) on normalised data with
 // generative residuals: the candidate intensity is simulated from t=0, never
 // conditioned on the observations, so the fitted parameters must reproduce
-// the whole trajectory. Missing ticks (NaN) are skipped by the residual, and
-// Options.Context cancels cooperatively between LM iterations and starts.
+// the whole trajectory. The starts run through lm's multi-start schedule.
+// Missing ticks (NaN) are skipped by the residual, and Options.Context
+// cancels cooperatively between LM iterations and starts.
 package hip
 
 import (
@@ -25,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 
 	"dspot/internal/lm"
 	"dspot/internal/numcheck"
@@ -35,6 +37,9 @@ import (
 // ParamCount is the number of fitted floats per sequence (μ, C, θ, c) —
 // exported so MDL description costs stay in sync with the model.
 const ParamCount = 4
+
+// maxIter is the LM budget of each of Fit's starts.
+const maxIter = 150
 
 // intensityCap bounds the simulated intensity so that supercritical
 // parameter vectors (C beyond the branching limit, which LM explores freely)
@@ -118,8 +123,6 @@ type Options struct {
 	// constant 1). It must be finite and non-negative: it is input data, not
 	// a fitted quantity.
 	Promotion []float64
-	// MaxIter bounds LM iterations per start (default 150).
-	MaxIter int
 }
 
 // Fit fits HIP to one sequence by LM on normalised data over a small
@@ -142,10 +145,6 @@ func Fit(seq []float64, opts Options) (Params, error) {
 	if tensor.ObservedCount(seq) < 8 {
 		return Params{}, errors.New("hip: sequence too short to fit")
 	}
-	maxIter := opts.MaxIter
-	if maxIter <= 0 {
-		maxIter = 150
-	}
 	ctx := opts.Context
 	norm, scale := tensor.Normalize(seq)
 	n := len(norm)
@@ -154,10 +153,10 @@ func Fit(seq []float64, opts Options) (Params, error) {
 	build := func(v []float64) Params {
 		return Params{Mu: v[0], C: v[1], Theta: v[2], Cutoff: v[3]}
 	}
-	resid := func(v []float64) []float64 {
+	resid := func(dst, v []float64) []float64 {
 		p := build(v)
 		sim := p.Simulate(n, promo)
-		r := make([]float64, n)
+		r := slices.Grow(dst[:0], n)[:n]
 		for t := range r {
 			if tensor.IsMissing(norm[t]) {
 				r[t] = math.NaN()
@@ -180,32 +179,21 @@ func Fit(seq []float64, opts Options) (Params, error) {
 
 	lo := []float64{0, 0, 0.05, 1e-3}
 	hi := []float64{10, 3, 3, 20}
-	best := Params{}
-	bestSSE := math.Inf(1)
+	var starts [][]float64
 	for _, c0 := range []float64{0.1, 0.5, 0.9} {
 		for _, th0 := range []float64{0.3, 1.0} {
-			if ctx != nil && ctx.Err() != nil {
-				return Params{}, fmt.Errorf("hip: fit cancelled: %w", ctx.Err())
-			}
-			start := []float64{mu0, c0, th0, 1}
-			res, err := lm.Fit(resid, start, lm.Options{
-				MaxIter: maxIter, Lower: lo, Upper: hi, Ctx: ctx,
-			})
-			if err != nil {
-				if ctx != nil && ctx.Err() != nil {
-					return Params{}, fmt.Errorf("hip: fit cancelled: %w", ctx.Err())
-				}
-				continue
-			}
-			if res.SSE < bestSSE {
-				bestSSE = res.SSE
-				best = build(res.Params)
-			}
+			starts = append(starts, []float64{mu0, c0, th0, 1})
 		}
 	}
-	if math.IsInf(bestSSE, 1) {
+	var ms lm.MultiStart
+	v, _ := ms.Fit(resid, starts, lm.Schedule{Screen: maxIter}, lm.Options{Lower: lo, Upper: hi, Ctx: ctx})
+	if ctx != nil && ctx.Err() != nil {
+		return Params{}, fmt.Errorf("hip: fit cancelled: %w", ctx.Err())
+	}
+	if v == nil {
 		return Params{}, errors.New("hip: fit failed for all starting points")
 	}
+	best := build(v)
 	// ξ is linear in μ for fixed (C, θ, c), so undoing the normalisation is
 	// a pure rescale of the exogenous sensitivity.
 	best.Mu *= scale

@@ -20,7 +20,7 @@ func TestJacobianProbeRespectsLowerBound(t *testing.T) {
 		}
 		return []float64{(p[0] - 1) * 5, p[1] - 3}
 	}
-	res, err := Fit(f, []float64{1, 7}, Options{Lower: lo, Upper: hi, MaxIter: 20})
+	res, err := fit(f, []float64{1, 7}, Options{Lower: lo, Upper: hi, MaxIter: 20})
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -37,7 +37,7 @@ func TestJacobianProbeRespectsLowerBound(t *testing.T) {
 }
 
 // The flipped probe may violate Lower even when the box is wider than one
-// step (p sits within FDStep·|p| of both bounds). The probe must then be
+// step (p sits within fdStep·|p| of both bounds). The probe must then be
 // clamped to Lower — still inside the box — rather than passed through.
 func TestJacobianProbeClampedNotSkipped(t *testing.T) {
 	// p0 = 1, FD step = 1e-6: forward probe 1+1e-6 exceeds hi = 1+1e-9,
@@ -52,7 +52,7 @@ func TestJacobianProbeClampedNotSkipped(t *testing.T) {
 		probed[p[0]] = true
 		return []float64{p[0] - 2}
 	}
-	if _, err := Fit(f, []float64{1}, Options{Lower: lo, Upper: hi, MaxIter: 3}); err != nil {
+	if _, err := fit(f, []float64{1}, Options{Lower: lo, Upper: hi, MaxIter: 3}); err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
 	if !probed[lo[0]] {
@@ -71,7 +71,7 @@ func TestJacobianPinnedParameter(t *testing.T) {
 		}
 		return []float64{p[1] - p[0]}
 	}
-	res, err := Fit(f, []float64{2, 0}, Options{Lower: lo, Upper: hi})
+	res, err := fit(f, []float64{2, 0}, Options{Lower: lo, Upper: hi})
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}

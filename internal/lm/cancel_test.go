@@ -21,7 +21,7 @@ func TestFitPreCancelledContext(t *testing.T) {
 		evals++
 		return rosenResiduals(p)
 	}
-	res, err := Fit(f, []float64{-1.2, 1}, Options{Ctx: ctx})
+	res, err := fit(f, []float64{-1.2, 1}, Options{Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -49,7 +49,7 @@ func TestFitCancelMidRunStopsWithinOneIteration(t *testing.T) {
 		return rosenResiduals(p)
 	}
 	p0 := []float64{-1.2, 1}
-	res, err := Fit(f, p0, Options{Ctx: ctx, MaxIter: 10000, Tol: 0})
+	res, err := fit(f, p0, Options{Ctx: ctx, MaxIter: 10000})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -81,7 +81,7 @@ func TestFitCancelMidRunStopsWithinOneIteration(t *testing.T) {
 }
 
 func TestFitNilContextUnaffected(t *testing.T) {
-	res, err := Fit(rosenResiduals, []float64{-1.2, 1}, Options{})
+	res, err := fit(rosenResiduals, []float64{-1.2, 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

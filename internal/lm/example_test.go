@@ -12,19 +12,23 @@ import (
 // by orders of magnitude until none improves at all — and reports Stalled
 // rather than Converged; a noise floor is what makes the relative-tolerance
 // test meaningful.)
-func ExampleFit() {
+func ExampleFitInto() {
 	obs := make([]float64, 30)
 	for t := range obs {
 		obs[t] = 2.0*math.Exp(-0.5*float64(t)*0.2) + 1e-4*math.Sin(float64(t)*7)
 	}
-	resid := func(p []float64) []float64 {
-		r := make([]float64, len(obs))
+	resid := func(dst, p []float64) []float64 {
+		r := dst
+		if cap(r) < len(obs) {
+			r = make([]float64, len(obs))
+		}
+		r = r[:len(obs)]
 		for t := range r {
 			r[t] = p[0]*math.Exp(-p[1]*float64(t)*0.2) - obs[t]
 		}
 		return r
 	}
-	res, err := lm.Fit(resid, []float64{1, 0.1}, lm.Options{})
+	res, err := lm.FitInto(resid, []float64{1, 0.1}, lm.Options{})
 	if err != nil {
 		panic(err)
 	}

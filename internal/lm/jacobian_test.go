@@ -17,7 +17,7 @@ func expDecayObs() []float64 {
 	return obs
 }
 
-func expDecayResid(obs []float64) ResidualFunc {
+func expDecayResid(obs []float64) func(p []float64) []float64 {
 	return func(p []float64) []float64 {
 		r := make([]float64, len(obs))
 		for t := range r {
@@ -44,7 +44,7 @@ func TestFitAnalyticJacobianMatchesFD(t *testing.T) {
 	obs := expDecayObs()
 	start := []float64{1, 0.1}
 
-	fd, err := Fit(expDecayResid(obs), start, Options{})
+	fd, err := fit(expDecayResid(obs), start, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestFitAnalyticJacobianMatchesFD(t *testing.T) {
 		probeEvals++
 		return expDecayResid(obs)(p)
 	}
-	an, err := Fit(counting, start, Options{Jacobian: expDecayJac(obs)})
+	an, err := fit(counting, start, Options{Jacobian: expDecayJac(obs)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,11 +88,11 @@ func TestFitAnalyticJacobianRespectsMissingRows(t *testing.T) {
 		j[3*2+0], j[3*2+1] = math.Inf(1), -7    // garbage on missing rows:
 		j[17*2+0], j[17*2+1] = math.NaN(), 1e30 // the driver must zero them
 	}
-	fd, err := Fit(resid, []float64{1, 0.1}, Options{})
+	fd, err := fit(resid, []float64{1, 0.1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	an, err := Fit(resid, []float64{1, 0.1}, Options{Jacobian: jac})
+	an, err := fit(resid, []float64{1, 0.1}, Options{Jacobian: jac})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestFitSanitisesNonFiniteJacobian(t *testing.T) {
 		j[5*2+1] = math.Inf(1) // live row, exploded entry
 		j[9*2+0] = math.NaN()
 	}
-	res, err := Fit(expDecayResid(obs), []float64{1, 0.1}, Options{Jacobian: jac})
+	res, err := fit(expDecayResid(obs), []float64{1, 0.1}, Options{Jacobian: jac})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +132,7 @@ func TestFitSanitisesNonFiniteJacobian(t *testing.T) {
 func TestFitIntoAnalyticMatchesFit(t *testing.T) {
 	obs := expDecayObs()
 	opts := Options{Jacobian: expDecayJac(obs)}
-	plain, err := Fit(expDecayResid(obs), []float64{1, 0.1}, opts)
+	plain, err := fit(expDecayResid(obs), []float64{1, 0.1}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,9 +161,9 @@ func TestFitIntoAnalyticMatchesFit(t *testing.T) {
 
 // TestConvergedVsStalled pins the split: a noise-floored problem converges
 // by tolerance; a noiseless one walks into the exact minimum and stalls
-// (no improving step at MaxLambda). Neither may report the other's flag.
+// (no improving step at maxLambda). Neither may report the other's flag.
 func TestConvergedVsStalled(t *testing.T) {
-	noisy, err := Fit(expDecayResid(expDecayObs()), []float64{1, 0.1}, Options{})
+	noisy, err := fit(expDecayResid(expDecayObs()), []float64{1, 0.1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestConvergedVsStalled(t *testing.T) {
 	for i := range clean {
 		clean[i] = 2.0 * math.Exp(-0.5*float64(i)*0.2)
 	}
-	exact, err := Fit(expDecayResid(clean), []float64{2, 0.5}, Options{})
+	exact, err := fit(expDecayResid(clean), []float64{2, 0.5}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,14 @@
 // Package lm implements the Levenberg–Marquardt algorithm for non-linear
 // least squares, the optimiser named by the Δ-SPOT paper (its reference [4],
-// Levenberg 1944). It is written for the shape of problem the fitters
+// Levenberg 1944), and the one multi-start schedule every fitter runs it
+// under (MultiStart). It is written for the shape of problem the fitters
 // produce: a handful of bounded parameters, residual vectors of a few
 // hundred to a few thousand entries, and objective functions that are full
-// SIV simulations. Jacobians come from a caller-supplied analytic
-// JacobianFunc when Options.Jacobian is set (one sensitivity pass per
-// iteration), and from forward finite differences otherwise (p+1 residual
-// evaluations per iteration) — the FD path doubles as the cross-check
-// oracle for analytic implementations.
+// simulations. Jacobians come from a caller-supplied analytic JacobianFunc
+// when Options.Jacobian is set (one sensitivity pass per iteration), and
+// from forward finite differences otherwise (p+1 residual evaluations per
+// iteration) — the FD path doubles as the cross-check oracle for analytic
+// implementations.
 package lm
 
 import (
@@ -17,20 +18,16 @@ import (
 	"math"
 )
 
-// ResidualFunc evaluates the residual vector r(p) for parameters p. The
-// returned slice must have constant length across calls; NaN entries are
-// treated as missing observations and contribute zero to the objective and
-// Jacobian.
-type ResidualFunc func(p []float64) []float64
-
-// ResidualIntoFunc evaluates r(p) into a caller-provided buffer. The
-// contract mirrors the residualsInto helpers in the fitters: when dst has
-// sufficient capacity the function must write into it and return dst[:m];
-// when dst is nil or too small it must allocate and return a fresh slice —
-// never a view of internal state shared across calls. FitInto relies on
-// this to hold the current, probe, and trial residual vectors in three
-// distinct buffers, so an implementation that returns the same backing
-// array on every call would corrupt the Jacobian.
+// ResidualIntoFunc evaluates the residual vector r(p) for parameters p into
+// a caller-provided buffer. The returned slice must have constant length
+// across calls; NaN entries are treated as missing observations and
+// contribute zero to the objective and Jacobian. When dst has sufficient
+// capacity the function must write into it and return dst[:m]; when dst is
+// nil or too small it must allocate and return a fresh slice — never a view
+// of internal state shared across calls. FitInto relies on this to hold the
+// current, probe, and trial residual vectors in three distinct buffers, so
+// an implementation that returns the same backing array on every call would
+// corrupt the Jacobian.
 type ResidualIntoFunc func(dst, p []float64) []float64
 
 // JacobianFunc fills jac — row-major m×dim, m the residual length and dim
@@ -42,39 +39,43 @@ type ResidualIntoFunc func(dst, p []float64) []float64
 // either.
 type JacobianFunc func(jac, p []float64)
 
-// Options configures a Fit run. The zero value selects sensible defaults.
+// The search's fixed constants. No fitter has needed other values.
+const (
+	tol       = 1e-8 // relative SSE improvement that counts as converged
+	lambda0   = 1e-3 // initial damping factor
+	lambdaUp  = 10   // damping multiplier on a rejected step
+	lambdaDn  = 10   // damping divisor on an accepted step
+	maxLambda = 1e10 // damping ceiling: no improving step by then stalls the run
+	fdStep    = 1e-6 // relative forward-difference step
+)
+
+// Options configures a FitInto run. The zero value selects sensible
+// defaults.
 type Options struct {
-	MaxIter   int       // maximum outer iterations (default 100)
-	Tol       float64   // relative SSE improvement tolerance (default 1e-8)
-	Lambda0   float64   // initial damping factor (default 1e-3)
-	LambdaUp  float64   // damping multiplier on rejection (default 10)
-	LambdaDn  float64   // damping divisor on acceptance (default 10)
-	Lower     []float64 // optional per-parameter lower bounds
-	Upper     []float64 // optional per-parameter upper bounds
-	FDStep    float64   // relative finite-difference step (default 1e-6)
-	MaxLambda float64   // damping ceiling before giving up (default 1e10)
+	MaxIter int       // maximum outer iterations (default 100)
+	Lower   []float64 // optional per-parameter lower bounds
+	Upper   []float64 // optional per-parameter upper bounds
 
 	// Jacobian, when non-nil, supplies the analytic Jacobian of the
 	// residuals and replaces the forward-difference probes entirely: one
-	// call per iteration instead of dim probe evaluations. FDStep is then
-	// unused.
+	// call per iteration instead of dim probe evaluations.
 	Jacobian JacobianFunc
 
 	// Ctx, when non-nil, is checked at the top of every outer iteration:
-	// once it is done Fit stops and returns the best parameters found so
-	// far together with an error wrapping ctx.Err(). An objective function
-	// is a full simulation, so this bounds cancel-to-stop latency by one
-	// LM iteration (one Jacobian plus the damped trial steps).
+	// once it is done FitInto stops and returns the best parameters found
+	// so far together with an error wrapping ctx.Err(). An objective
+	// function is a full simulation, so this bounds cancel-to-stop latency
+	// by one LM iteration (one Jacobian plus the damped trial steps).
 	Ctx context.Context
 }
 
-// Result reports the outcome of a Fit run.
+// Result reports the outcome of a FitInto run.
 type Result struct {
 	Params     []float64 // best parameters found
 	SSE        float64   // sum of squared residuals at Params
 	Iterations int       // outer iterations performed
 	Converged  bool      // true if the relative-improvement tolerance was reached
-	// Stalled is true when the damping loop hit MaxLambda without finding
+	// Stalled is true when the damping loop hit maxLambda without finding
 	// an improving step: the search stopped at a (possibly bounded) local
 	// minimum or on a pathological surface, not because the tolerance was
 	// met. Converged and Stalled are mutually exclusive; both false means
@@ -85,24 +86,6 @@ type Result struct {
 func (o *Options) fill(dim int) error {
 	if o.MaxIter <= 0 {
 		o.MaxIter = 100
-	}
-	if o.Tol <= 0 {
-		o.Tol = 1e-8
-	}
-	if o.Lambda0 <= 0 {
-		o.Lambda0 = 1e-3
-	}
-	if o.LambdaUp <= 1 {
-		o.LambdaUp = 10
-	}
-	if o.LambdaDn <= 1 {
-		o.LambdaDn = 10
-	}
-	if o.FDStep <= 0 {
-		o.FDStep = 1e-6
-	}
-	if o.MaxLambda <= 0 {
-		o.MaxLambda = 1e10
 	}
 	if o.Lower != nil && len(o.Lower) != dim {
 		return errors.New("lm: Lower bound length mismatch")
@@ -141,20 +124,14 @@ func (o *Options) clamp(p []float64) {
 	}
 }
 
-// Fit minimises ‖r(p)‖² starting from p0. p0 is not modified. Bounds, when
-// provided, are enforced by projection after each accepted step and during
-// Jacobian evaluation.
-func Fit(f ResidualFunc, p0 []float64, opts Options) (Result, error) {
-	return fitCore(func(_, p []float64) []float64 { return f(p) }, p0, opts)
-}
-
-// FitInto is Fit over a buffer-reusing residual function: the driver owns
-// three residual buffers (current, Jacobian probe, damped trial) and passes
-// them back to f, so a well-behaved f makes the whole run allocate a fixed
-// amount of memory independent of the iteration count. The driver's
-// buffers are reused from run to run, so a repeat run no larger than an
-// earlier one allocates only its Result's Params. The search itself is
-// identical to Fit's — same steps, same results.
+// FitInto minimises ‖r(p)‖² starting from p0. p0 is not modified. Bounds,
+// when provided, are enforced by projection after each accepted step and
+// during Jacobian evaluation. The driver owns three residual buffers
+// (current, Jacobian probe, damped trial) and passes them back to f, so a
+// well-behaved f makes the whole run allocate a fixed amount of memory
+// independent of the iteration count. The driver's buffers are reused from
+// run to run, so a repeat run no larger than an earlier one allocates only
+// its Result's Params.
 func FitInto(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 	return fitCore(f, p0, opts)
 }
@@ -256,7 +233,7 @@ func fitCore(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 			errors.New("lm: non-finite cost at initial parameters")
 	}
 
-	lambda := opts.Lambda0
+	lambda := lambda0
 	ws.size(m, dim)
 	jac, jtj, jtr := ws.jac, ws.jtj, ws.jtr
 	pTrial, damped, delta, cholL, cholY := ws.pTrial, ws.damped, ws.delta, ws.cholL, ws.cholY
@@ -282,9 +259,9 @@ func fitCore(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 		} else {
 			// Forward-difference Jacobian of the residuals.
 			for j := 0; j < dim; j++ {
-				h := opts.FDStep * math.Abs(p[j])
+				h := fdStep * math.Abs(p[j])
 				if h == 0 {
-					h = opts.FDStep
+					h = fdStep
 				}
 				// Step inside the bounds if a bound is active.
 				pj := p[j] + h
@@ -331,7 +308,7 @@ func fitCore(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 		normalEquations(jtj, jtr, ws.z, jac, r, m, dim)
 
 		improved := false
-		for lambda <= opts.MaxLambda {
+		for lambda <= maxLambda {
 			copy(damped, jtj)
 			for a := 0; a < dim; a++ {
 				d := jtj[a*dim+a]
@@ -341,7 +318,7 @@ func fitCore(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 				damped[a*dim+a] = d * (1 + lambda)
 			}
 			if err := solveSPDInto(delta, cholL, cholY, damped, jtr, dim); err != nil {
-				lambda *= opts.LambdaUp
+				lambda *= lambdaUp
 				continue
 			}
 			finite := true
@@ -352,7 +329,7 @@ func fitCore(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 				}
 			}
 			if !finite {
-				lambda *= opts.LambdaUp
+				lambda *= lambdaUp
 				continue
 			}
 			for a := 0; a < dim; a++ {
@@ -370,20 +347,20 @@ func fitCore(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 				// buffer is simply the freshly returned slice.)
 				r, trialBuf = rTrial, r
 				cur = trial
-				lambda /= opts.LambdaDn
+				lambda /= lambdaDn
 				if lambda < 1e-12 {
 					lambda = 1e-12
 				}
 				improved = true
-				if rel < opts.Tol {
+				if rel < tol {
 					res.Converged = true
 				}
 				break
 			}
-			lambda *= opts.LambdaUp
+			lambda *= lambdaUp
 		}
 		if !improved {
-			// Damping hit MaxLambda without an improving step: the search is
+			// Damping hit maxLambda without an improving step: the search is
 			// stuck at a (possibly bounded) minimum or on a pathological
 			// surface. This used to be reported as Converged; it is a
 			// different outcome and callers watching fit health need to

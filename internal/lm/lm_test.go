@@ -49,7 +49,7 @@ func TestFitLinearRegression(t *testing.T) {
 		}
 		return r
 	}
-	res, err := Fit(f, []float64{0, 0}, Options{})
+	res, err := fit(f, []float64{0, 0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +75,7 @@ func TestFitExponentialDecay(t *testing.T) {
 		}
 		return r
 	}
-	res, err := Fit(f, []float64{1, 0.1}, Options{MaxIter: 200})
+	res, err := fit(f, []float64{1, 0.1}, Options{MaxIter: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestFitExponentialDecay(t *testing.T) {
 func TestFitRespectsBounds(t *testing.T) {
 	// Unconstrained optimum at p=5, but bound at 2.
 	f := func(p []float64) []float64 { return []float64{p[0] - 5} }
-	res, err := Fit(f, []float64{0}, Options{Lower: []float64{0}, Upper: []float64{2}})
+	res, err := fit(f, []float64{0}, Options{Lower: []float64{0}, Upper: []float64{2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestFitRespectsBounds(t *testing.T) {
 
 func TestFitStartOutsideBoundsIsClamped(t *testing.T) {
 	f := func(p []float64) []float64 { return []float64{p[0] - 0.5} }
-	res, err := Fit(f, []float64{10}, Options{Lower: []float64{0}, Upper: []float64{1}})
+	res, err := fit(f, []float64{10}, Options{Lower: []float64{0}, Upper: []float64{1}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestFitHandlesNaNResiduals(t *testing.T) {
 	f := func(p []float64) []float64 {
 		return []float64{p[0] - 4, math.NaN(), 2 * (p[0] - 4)}
 	}
-	res, err := Fit(f, []float64{0}, Options{})
+	res, err := fit(f, []float64{0}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,13 +122,13 @@ func TestFitHandlesNaNResiduals(t *testing.T) {
 }
 
 func TestFitErrors(t *testing.T) {
-	if _, err := Fit(func(p []float64) []float64 { return []float64{0} }, nil, Options{}); err == nil {
+	if _, err := fit(func(p []float64) []float64 { return []float64{0} }, nil, Options{}); err == nil {
 		t.Fatal("empty params accepted")
 	}
-	if _, err := Fit(func(p []float64) []float64 { return nil }, []float64{1}, Options{}); err == nil {
+	if _, err := fit(func(p []float64) []float64 { return nil }, []float64{1}, Options{}); err == nil {
 		t.Fatal("empty residuals accepted")
 	}
-	if _, err := Fit(func(p []float64) []float64 { return []float64{0} }, []float64{1},
+	if _, err := fit(func(p []float64) []float64 { return []float64{0} }, []float64{1},
 		Options{Lower: []float64{0, 0}}); err == nil {
 		t.Fatal("bound length mismatch accepted")
 	}
@@ -143,7 +143,7 @@ func TestFitResidualLengthChangeDetected(t *testing.T) {
 		}
 		return []float64{p[0] - 1}
 	}
-	if _, err := Fit(f, []float64{0}, Options{}); err == nil {
+	if _, err := fit(f, []float64{0}, Options{}); err == nil {
 		t.Fatal("length change not detected")
 	}
 }
@@ -151,7 +151,7 @@ func TestFitResidualLengthChangeDetected(t *testing.T) {
 func TestFitDoesNotMutateP0(t *testing.T) {
 	p0 := []float64{1, 2}
 	f := func(p []float64) []float64 { return []float64{p[0] - 3, p[1] - 4} }
-	if _, err := Fit(f, p0, Options{}); err != nil {
+	if _, err := fit(f, p0, Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if p0[0] != 1 || p0[1] != 2 {
@@ -174,7 +174,7 @@ func TestFitSineFrequency(t *testing.T) {
 		}
 		return r
 	}
-	res, err := Fit(f, []float64{1, 0.5}, Options{MaxIter: 300})
+	res, err := fit(f, []float64{1, 0.5}, Options{MaxIter: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestFitLinearSystemQuick(t *testing.T) {
 			}
 			return r
 		}
-		res, err := Fit(resid, make([]float64, dim), Options{MaxIter: 200})
+		res, err := fit(resid, make([]float64, dim), Options{MaxIter: 200})
 		if err != nil {
 			return false
 		}
@@ -239,7 +239,7 @@ func TestFitNeverWorsensQuick(t *testing.T) {
 		for _, v := range obj(start) {
 			startSSE += v * v
 		}
-		res, err := Fit(obj, start, Options{MaxIter: 50})
+		res, err := fit(obj, start, Options{MaxIter: 50})
 		if err != nil {
 			return false
 		}

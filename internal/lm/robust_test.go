@@ -9,12 +9,12 @@ import (
 // A non-finite starting cost must be reported as an error, not looped on.
 func TestFitNonFiniteInitialCost(t *testing.T) {
 	f := func(p []float64) []float64 { return []float64{math.Inf(1)} }
-	_, err := Fit(f, []float64{1}, Options{})
+	_, err := fit(f, []float64{1}, Options{})
 	if err == nil || !strings.Contains(err.Error(), "non-finite") {
 		t.Fatalf("Fit with Inf initial residual: err = %v, want non-finite cost error", err)
 	}
 	g := func(p []float64) []float64 { return []float64{math.Inf(-1), 1} }
-	if _, err := Fit(g, []float64{1}, Options{}); err == nil {
+	if _, err := fit(g, []float64{1}, Options{}); err == nil {
 		t.Fatalf("Fit with -Inf initial residual: want error, got nil")
 	}
 }
@@ -31,7 +31,7 @@ func TestFitSurvivesInfRegion(t *testing.T) {
 		}
 		return []float64{x - target}
 	}
-	res, err := Fit(f, []float64{9.9}, Options{})
+	res, err := fit(f, []float64{9.9}, Options{})
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestFitNonFiniteJacobianEntries(t *testing.T) {
 		}
 		return r
 	}
-	res, err := Fit(f, []float64{4.999999}, Options{})
+	res, err := fit(f, []float64{4.999999}, Options{})
 	if err != nil {
 		t.Fatalf("Fit: %v", err)
 	}

@@ -7,18 +7,6 @@ import (
 	"testing"
 )
 
-func TestGoldenCtxNilMatchesGolden(t *testing.T) {
-	f := func(x float64) float64 { return (x - 3.2) * (x - 3.2) }
-	x0, fx0 := Golden(f, -10, 10, 1e-9, 0)
-	x1, fx1, err := GoldenCtx(nil, f, -10, 10, 1e-9, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if x0 != x1 || fx0 != fx1 {
-		t.Fatalf("GoldenCtx(nil) = (%g,%g), Golden = (%g,%g)", x1, fx1, x0, fx0)
-	}
-}
-
 func TestGoldenCtxCancelStopsWithinOneEval(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	evals := 0
@@ -29,7 +17,7 @@ func TestGoldenCtxCancelStopsWithinOneEval(t *testing.T) {
 		}
 		return (x - 2) * (x - 2)
 	}
-	x, fx, err := GoldenCtx(ctx, f, 0, 100, 1e-12, 500)
+	x, fx, err := Golden(ctx, f, 0, 100, 1e-12, 500)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -40,7 +28,7 @@ func TestGoldenCtxCancelStopsWithinOneEval(t *testing.T) {
 	}
 	// The best point seen so far is still returned, inside the bracket.
 	if x < 0 || x > 100 || math.IsInf(fx, 0) || math.IsNaN(fx) {
-		t.Fatalf("cancelled GoldenCtx = (%g, %g)", x, fx)
+		t.Fatalf("cancelled Golden = (%g, %g)", x, fx)
 	}
 }
 
@@ -49,25 +37,13 @@ func TestGoldenCtxPreCancelled(t *testing.T) {
 	cancel()
 	evals := 0
 	f := func(x float64) float64 { evals++; return x * x }
-	_, _, err := GoldenCtx(ctx, f, -4, 4, 1e-9, 100)
+	_, _, err := Golden(ctx, f, -4, 4, 1e-9, 100)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	// Only the two bracket seeds run before the first check.
 	if evals > 2 {
 		t.Fatalf("objective evaluated %d times after pre-cancel", evals)
-	}
-}
-
-func TestRefiningGridCtxNilMatchesRefiningGrid(t *testing.T) {
-	f := func(c int) float64 { return float64((c - 137) * (c - 137)) }
-	b0, f0 := RefiningGrid(f, 0, 1000, 20)
-	b1, f1, err := RefiningGridCtx(nil, f, 0, 1000, 20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b0 != b1 || f0 != f1 {
-		t.Fatalf("RefiningGridCtx(nil) = (%d,%g), RefiningGrid = (%d,%g)", b1, f1, b0, f0)
 	}
 }
 
@@ -81,7 +57,7 @@ func TestRefiningGridCtxCancelStopsScan(t *testing.T) {
 		}
 		return float64((c - 500) * (c - 500))
 	}
-	_, _, err := RefiningGridCtx(ctx, f, 0, 1000, 50)
+	_, _, err := RefiningGrid(ctx, f, 0, 1000, 50)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

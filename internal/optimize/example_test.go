@@ -1,6 +1,7 @@
 package optimize_test
 
 import (
+	"context"
 	"fmt"
 
 	"dspot/internal/optimize"
@@ -9,7 +10,7 @@ import (
 // Golden-section search over a bounded interval.
 func ExampleGolden() {
 	f := func(x float64) float64 { return (x - 3) * (x - 3) }
-	x, fx := optimize.Golden(f, 0, 10, 1e-9, 0)
+	x, fx, _ := optimize.Golden(context.Background(), f, 0, 10, 1e-9, 0)
 	fmt.Printf("argmin=%.3f min=%.3f\n", x, fx)
 	// Output:
 	// argmin=3.000 min=0.000
@@ -32,7 +33,7 @@ func ExampleNelderMead() {
 // Coarse-then-exact integer search.
 func ExampleRefiningGrid() {
 	f := func(c int) float64 { return float64((c - 457) * (c - 457)) }
-	best, _ := optimize.RefiningGrid(f, 0, 1000, 20)
+	best, _, _ := optimize.RefiningGrid(context.Background(), f, 0, 1000, 20)
 	fmt.Println(best)
 	// Output:
 	// 457

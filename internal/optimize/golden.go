@@ -28,17 +28,12 @@ func finiteMin(v float64) float64 {
 // Golden minimises f over [lo, hi] with golden-section search, returning the
 // minimising x and f(x). tol is the absolute interval tolerance; maxIter
 // bounds the number of shrink steps (each shrinks the interval by 1/φ).
-func Golden(f func(float64) float64, lo, hi, tol float64, maxIter int) (x, fx float64) {
-	x, fx, _ = GoldenCtx(nil, f, lo, hi, tol, maxIter)
-	return x, fx
-}
-
-// GoldenCtx is Golden under a context: ctx (which may be nil for "never
-// cancelled") is checked before every shrink step, and once it is done the
-// search stops and returns the best point evaluated so far together with an
-// error wrapping ctx.Err(). Each step costs one objective evaluation, so
-// cancel-to-stop latency is bounded by a single evaluation of f.
-func GoldenCtx(ctx context.Context, f func(float64) float64, lo, hi, tol float64, maxIter int) (x, fx float64, err error) {
+// ctx (which may be nil for "never cancelled") is checked before every
+// shrink step, and once it is done the search stops and returns the best
+// point evaluated so far together with an error wrapping ctx.Err(). Each
+// step costs one objective evaluation, so cancel-to-stop latency is bounded
+// by a single evaluation of f.
+func Golden(ctx context.Context, f func(float64) float64, lo, hi, tol float64, maxIter int) (x, fx float64, err error) {
 	if hi < lo {
 		lo, hi = hi, lo
 	}
@@ -81,44 +76,14 @@ func GoldenCtx(ctx context.Context, f func(float64) float64, lo, hi, tol float64
 	return x, fx, nil
 }
 
-// GridMin evaluates f at each candidate and returns the argmin and minimum.
-// Ties resolve to the earliest candidate, making searches deterministic. It
-// returns (0, +Inf) for an empty candidate set.
-func GridMin(f func(int) float64, candidates []int) (best int, fbest float64) {
-	fbest = math.Inf(1)
-	for _, c := range candidates {
-		if v := finiteMin(f(c)); v < fbest {
-			best, fbest = c, v
-		}
-	}
-	return best, fbest
-}
-
-// GridMinFloat is GridMin over float64 candidates.
-func GridMinFloat(f func(float64) float64, candidates []float64) (best, fbest float64) {
-	fbest = math.Inf(1)
-	for _, c := range candidates {
-		if v := finiteMin(f(c)); v < fbest {
-			best, fbest = c, v
-		}
-	}
-	return best, fbest
-}
-
 // RefiningGrid minimises f over the integer range [lo, hi] by a coarse pass
 // of at most width points followed by an exact scan of the winning
 // neighbourhood. It is exact when hi-lo+1 <= width and otherwise trades a
 // small risk of missing a narrow optimum for O(width + stride) evaluations.
-func RefiningGrid(f func(int) float64, lo, hi, width int) (best int, fbest float64) {
-	best, fbest, _ = RefiningGridCtx(nil, f, lo, hi, width)
-	return best, fbest
-}
-
-// RefiningGridCtx is RefiningGrid under a context: ctx (which may be nil) is
-// checked before every candidate evaluation, and once it is done the scan
-// stops and returns the best candidate evaluated so far together with an
-// error wrapping ctx.Err().
-func RefiningGridCtx(ctx context.Context, f func(int) float64, lo, hi, width int) (best int, fbest float64, err error) {
+// ctx (which may be nil) is checked before every candidate evaluation, and
+// once it is done the scan stops and returns the best candidate evaluated
+// so far together with an error wrapping ctx.Err().
+func RefiningGrid(ctx context.Context, f func(int) float64, lo, hi, width int) (best int, fbest float64, err error) {
 	if hi < lo {
 		lo, hi = hi, lo
 	}
@@ -155,9 +120,11 @@ func RefiningGridCtx(ctx context.Context, f func(int) float64, lo, hi, width int
 	return gridMinCtx(ctx, f, fine)
 }
 
-// gridMinCtx is GridMin with a per-candidate context check. It returns the
-// best of the candidates evaluated before cancellation; fbest is +Inf when
-// no candidate was evaluated at all.
+// gridMinCtx evaluates f at each candidate and returns the argmin and
+// minimum. Ties resolve to the earliest candidate, making searches
+// deterministic. ctx (which may be nil) is checked before every candidate;
+// the result is the best of the candidates evaluated before cancellation,
+// and fbest is +Inf when none was (an empty or pre-cancelled set).
 func gridMinCtx(ctx context.Context, f func(int) float64, candidates []int) (best int, fbest float64, err error) {
 	fbest = math.Inf(1)
 	for _, c := range candidates {

@@ -9,7 +9,7 @@ import (
 
 func TestGoldenQuadratic(t *testing.T) {
 	f := func(x float64) float64 { return (x - 3.2) * (x - 3.2) }
-	x, fx := Golden(f, -10, 10, 1e-9, 0)
+	x, fx, _ := Golden(nil, f, -10, 10, 1e-9, 0)
 	if math.Abs(x-3.2) > 1e-6 {
 		t.Fatalf("Golden argmin = %g, want 3.2", x)
 	}
@@ -20,7 +20,7 @@ func TestGoldenQuadratic(t *testing.T) {
 
 func TestGoldenReversedBounds(t *testing.T) {
 	f := func(x float64) float64 { return math.Abs(x - 1) }
-	x, _ := Golden(f, 5, -5, 1e-9, 0)
+	x, _, _ := Golden(nil, f, 5, -5, 1e-9, 0)
 	if math.Abs(x-1) > 1e-6 {
 		t.Fatalf("Golden with reversed bounds = %g, want 1", x)
 	}
@@ -29,7 +29,7 @@ func TestGoldenReversedBounds(t *testing.T) {
 func TestGoldenRespectsBounds(t *testing.T) {
 	// Minimum outside the interval: should return the boundary region.
 	f := func(x float64) float64 { return (x - 100) * (x - 100) }
-	x, _ := Golden(f, 0, 1, 1e-9, 0)
+	x, _, _ := Golden(nil, f, 0, 1, 1e-9, 0)
 	if x < 0 || x > 1 {
 		t.Fatalf("Golden wandered outside bounds: %g", x)
 	}
@@ -40,35 +40,27 @@ func TestGoldenRespectsBounds(t *testing.T) {
 
 func TestGridMin(t *testing.T) {
 	f := func(c int) float64 { return float64((c - 7) * (c - 7)) }
-	best, fbest := GridMin(f, []int{1, 5, 7, 9})
+	best, fbest, _ := gridMinCtx(nil, f, []int{1, 5, 7, 9})
 	if best != 7 || fbest != 0 {
-		t.Fatalf("GridMin = (%d,%g), want (7,0)", best, fbest)
+		t.Fatalf("gridMinCtx = (%d,%g), want (7,0)", best, fbest)
 	}
-	_, fbest = GridMin(f, nil)
+	_, fbest, _ = gridMinCtx(nil, f, nil)
 	if !math.IsInf(fbest, 1) {
-		t.Fatalf("GridMin(empty) fbest = %g, want +Inf", fbest)
+		t.Fatalf("gridMinCtx(empty) fbest = %g, want +Inf", fbest)
 	}
 }
 
 func TestGridMinTieBreaksEarliest(t *testing.T) {
 	f := func(c int) float64 { return 1.0 }
-	best, _ := GridMin(f, []int{4, 2, 9})
+	best, _, _ := gridMinCtx(nil, f, []int{4, 2, 9})
 	if best != 4 {
 		t.Fatalf("tie should go to first candidate, got %d", best)
 	}
 }
 
-func TestGridMinFloat(t *testing.T) {
-	f := func(c float64) float64 { return math.Abs(c - 0.5) }
-	best, _ := GridMinFloat(f, []float64{0.1, 0.4, 0.9})
-	if best != 0.4 {
-		t.Fatalf("GridMinFloat = %g, want 0.4", best)
-	}
-}
-
 func TestRefiningGridExactSmallRange(t *testing.T) {
 	f := func(c int) float64 { return float64((c - 13) * (c - 13)) }
-	best, fbest := RefiningGrid(f, 0, 20, 50)
+	best, fbest, _ := RefiningGrid(nil, f, 0, 20, 50)
 	if best != 13 || fbest != 0 {
 		t.Fatalf("RefiningGrid = (%d,%g), want (13,0)", best, fbest)
 	}
@@ -77,7 +69,7 @@ func TestRefiningGridExactSmallRange(t *testing.T) {
 func TestRefiningGridCoarseThenFine(t *testing.T) {
 	// Smooth objective over a wide range: refine pass should land exactly.
 	f := func(c int) float64 { return math.Pow(float64(c-457), 2) }
-	best, _ := RefiningGrid(f, 0, 1000, 20)
+	best, _, _ := RefiningGrid(nil, f, 0, 1000, 20)
 	if best != 457 {
 		t.Fatalf("RefiningGrid wide = %d, want 457", best)
 	}
@@ -85,11 +77,11 @@ func TestRefiningGridCoarseThenFine(t *testing.T) {
 
 func TestRefiningGridReversedAndDegenerate(t *testing.T) {
 	f := func(c int) float64 { return float64(c) }
-	best, _ := RefiningGrid(f, 10, 5, 4)
+	best, _, _ := RefiningGrid(nil, f, 10, 5, 4)
 	if best != 5 {
 		t.Fatalf("reversed range best = %d, want 5", best)
 	}
-	best, _ = RefiningGrid(f, 3, 3, 0)
+	best, _, _ = RefiningGrid(nil, f, 3, 3, 0)
 	if best != 3 {
 		t.Fatalf("single-point range best = %d, want 3", best)
 	}
@@ -155,7 +147,7 @@ func TestGoldenConvexQuick(t *testing.T) {
 		c := rng.Float64()*20 - 10
 		obj := func(x float64) float64 { return (x - c) * (x - c) }
 		lo, hi := -15.0, 15.0
-		x, fx := Golden(obj, lo, hi, 1e-10, 0)
+		x, fx, _ := Golden(nil, obj, lo, hi, 1e-10, 0)
 		return fx <= obj(lo)+1e-12 && fx <= obj(hi)+1e-12 && x >= lo && x <= hi &&
 			math.Abs(x-c) < 1e-5
 	}

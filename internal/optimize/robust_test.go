@@ -16,7 +16,7 @@ func TestGoldenNaNRegion(t *testing.T) {
 		}
 		return (x - 3) * (x - 3)
 	}
-	x, fx := Golden(f, 0, 10, 1e-6, 200)
+	x, fx, _ := Golden(nil, f, 0, 10, 1e-6, 200)
 	if math.IsNaN(fx) {
 		t.Fatalf("Golden returned NaN objective at x=%g", x)
 	}
@@ -28,7 +28,7 @@ func TestGoldenNaNRegion(t *testing.T) {
 // An all-NaN objective degrades to +Inf, never NaN.
 func TestGoldenAllNaN(t *testing.T) {
 	nan := func(x float64) float64 { return math.NaN() }
-	_, fx := Golden(nan, 0, 1, 1e-6, 50)
+	_, fx, _ := Golden(nil, nan, 0, 1, 1e-6, 50)
 	if !math.IsInf(fx, 1) {
 		t.Fatalf("Golden over all-NaN objective: fx = %g, want +Inf", fx)
 	}
@@ -41,27 +41,14 @@ func TestGridMinNaNCandidates(t *testing.T) {
 		}
 		return float64((c - 5) * (c - 5))
 	}
-	best, fbest := GridMin(f, []int{0, 2, 5, 9})
+	best, fbest, _ := gridMinCtx(nil, f, []int{0, 2, 5, 9})
 	if best != 5 || fbest != 0 {
-		t.Fatalf("GridMin = (%d, %g), want (5, 0)", best, fbest)
+		t.Fatalf("gridMinCtx = (%d, %g), want (5, 0)", best, fbest)
 	}
 	// NaN first in the candidate list must not win the running minimum.
-	best, fbest = GridMin(f, []int{2, 5})
+	best, fbest, _ = gridMinCtx(nil, f, []int{2, 5})
 	if best != 5 || math.IsNaN(fbest) {
-		t.Fatalf("GridMin with NaN first = (%d, %g), want (5, 0)", best, fbest)
-	}
-}
-
-func TestGridMinFloatNaN(t *testing.T) {
-	f := func(c float64) float64 {
-		if c < 0 {
-			return math.NaN()
-		}
-		return c
-	}
-	best, fbest := GridMinFloat(f, []float64{-1, 4, 1})
-	if best != 1 || fbest != 1 {
-		t.Fatalf("GridMinFloat = (%g, %g), want (1, 1)", best, fbest)
+		t.Fatalf("gridMinCtx with NaN first = (%d, %g), want (5, 0)", best, fbest)
 	}
 }
 
@@ -72,7 +59,7 @@ func TestRefiningGridNaN(t *testing.T) {
 		}
 		return math.Abs(float64(c - 50))
 	}
-	best, fbest := RefiningGrid(f, 0, 100, 16)
+	best, fbest, _ := RefiningGrid(nil, f, 0, 100, 16)
 	if math.IsNaN(fbest) {
 		t.Fatalf("RefiningGrid returned NaN objective")
 	}
