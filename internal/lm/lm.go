@@ -126,12 +126,12 @@ func (o *Options) clamp(p []float64) {
 
 // FitInto minimises ‖r(p)‖² starting from p0. p0 is not modified. Bounds,
 // when provided, are enforced by projection after each accepted step and
-// during Jacobian evaluation. The driver owns three residual buffers
+// during Jacobian evaluation. FitInto owns three residual buffers
 // (current, Jacobian probe, damped trial) and passes them back to f, so a
 // well-behaved f makes the whole run allocate a fixed amount of memory
-// independent of the iteration count. The driver's buffers are reused from
-// run to run, so a repeat run no larger than an earlier one allocates only
-// its Result's Params.
+// independent of the iteration count. Those buffers are reused from run to
+// run, so a repeat run no larger than an earlier one allocates only its
+// Result's Params.
 func FitInto(f ResidualIntoFunc, p0 []float64, opts Options) (Result, error) {
 	return fitCore(f, p0, opts)
 }
