@@ -58,6 +58,17 @@ func TestGridMinTieBreaksEarliest(t *testing.T) {
 	}
 }
 
+// A float64 grid is searched by index: the argmin is the index of the
+// winning candidate value.
+func TestGridMinFloat(t *testing.T) {
+	xs := []float64{0.1, 0.4, 0.9}
+	f := func(i int) float64 { return math.Abs(xs[i] - 0.5) }
+	best, _, _ := gridMinCtx(nil, f, []int{0, 1, 2})
+	if xs[best] != 0.4 {
+		t.Fatalf("gridMinCtx over float grid = %g, want 0.4", xs[best])
+	}
+}
+
 func TestRefiningGridExactSmallRange(t *testing.T) {
 	f := func(c int) float64 { return float64((c - 13) * (c - 13)) }
 	best, fbest, _ := RefiningGrid(nil, f, 0, 20, 50)

@@ -52,6 +52,20 @@ func TestGridMinNaNCandidates(t *testing.T) {
 	}
 }
 
+func TestGridMinFloatNaN(t *testing.T) {
+	xs := []float64{-1, 4, 1}
+	f := func(i int) float64 {
+		if xs[i] < 0 {
+			return math.NaN()
+		}
+		return xs[i]
+	}
+	best, fbest, _ := gridMinCtx(nil, f, []int{0, 1, 2})
+	if xs[best] != 1 || fbest != 1 {
+		t.Fatalf("gridMinCtx over float grid = (%g, %g), want (1, 1)", xs[best], fbest)
+	}
+}
+
 func TestRefiningGridNaN(t *testing.T) {
 	f := func(c int) float64 {
 		if c%3 == 0 {
