@@ -1,9 +1,13 @@
 package dspot
 
 import (
+	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"testing"
 
+	"dspot/internal/core"
+	"dspot/internal/datagen"
 	"dspot/internal/engine"
 	"dspot/internal/tensor"
 )
@@ -162,5 +166,64 @@ func TestAnalyticJacobianStallFree(t *testing.T) {
 			t.Errorf("%s: %d stalled LM runs over %d iterations, want 0",
 				kw, rep.LMStalls, rep.LMIterations)
 		}
+	}
+}
+
+// TestFitGlobalSequenceDigestGolden pins, bit for bit, the global fits of
+// series whose residual noise offers the shock search short periods with
+// many occurrences: BenchmarkStreamColdFit's 104-tick yearly-event series,
+// ebola and harry potter at 576 ticks, and every keyword of a few
+// tensors shaped like servebench's fit-jobs deck (48–88 ticks, 2–3
+// locations). Each case hashes the JSON encoding of every keyword's
+// FitGlobalSequence result (parameters, shocks, scale and cost); encoding/json
+// writes each float64 in its shortest round-tripping form, so the digest
+// moves with any bit of the fit. A change to the shock search that only
+// drops candidates which never win must leave every digest as it is.
+func TestFitGlobalSequenceDigestGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("about 25 global fits, two of them at 576 ticks")
+	}
+	keyword := func(name string) *tensor.Tensor {
+		truth, err := SyntheticGoogleTrendsKeyword(name,
+			SyntheticConfig{Locations: 3, Ticks: 576, Seed: 5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return truth.Tensor
+	}
+	yearly := tensor.New([]string{"yearly"}, []string{"all"}, 104)
+	for tt, v := range yearlyEventSeries(104) {
+		yearly.Set(0, 0, tt, v)
+	}
+	for _, tc := range []struct {
+		name string
+		x    *tensor.Tensor
+		want uint64
+	}{
+		{"yearly-event/104", yearly, 0xbdf8964168b8d71c},
+		{"ebola/576", keyword("ebola"), 0x29df4bfb6c32fc40},
+		{"harry-potter/576", keyword("harry potter"), 0xa27a06e3a872628a},
+		{"googletrends/78x2/seed1", datagen.GoogleTrends(datagen.Config{Locations: 2, Ticks: 78, Seed: 1}).Tensor, 0xf1d9515b1e54aa15},
+		{"googletrends/52x3/seed4", datagen.GoogleTrends(datagen.Config{Locations: 3, Ticks: 52, Seed: 4}).Tensor, 0x3fcd83ade8a75f02},
+		{"twitter/64x3/seed1", datagen.Twitter(6, datagen.Config{Locations: 3, Ticks: 64, Seed: 1}).Tensor, 0x4dc766b7cbefdf54},
+		{"memetracker/88x2/seed4", datagen.MemeTracker(6, datagen.Config{Locations: 2, Ticks: 88, Seed: 4}).Tensor, 0xf5cafb2d4de78329},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := fnv.New64a()
+			for k := 0; k < tc.x.D(); k++ {
+				res, err := core.FitGlobalSequence(tc.x.Global(k), k, core.FitOptions{})
+				if err != nil {
+					t.Fatalf("keyword %s: %v", tc.x.Keywords[k], err)
+				}
+				b, err := json.Marshal(res)
+				if err != nil {
+					t.Fatalf("keyword %s: %v", tc.x.Keywords[k], err)
+				}
+				h.Write(b)
+			}
+			if got := h.Sum64(); got != tc.want {
+				t.Errorf("fits hash to %#x, want %#x", got, tc.want)
+			}
+		})
 	}
 }
