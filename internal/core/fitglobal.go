@@ -939,8 +939,9 @@ func (g *gfit) bestShockCandidate() (Shock, KeywordParams, float64, bool) {
 	// Candidates seed from the dominant residual peak only: each accepted
 	// shock changes the residuals, so secondary peaks get their turn on the
 	// next greedy round (seeding several peaks at once proved to breed
-	// accidental-period artifacts that cover multiple peaks at once).
-	peaks = peaks[:1]
+	// accidental-period artifacts that cover multiple peaks at once). The
+	// other runs only confirm a cyclic candidate's recurrences.
+	seed, runs := peaks[0], peaks[1:]
 
 	// Stage A: cheap, simulation-free scoring of (period, anchor, width)
 	// configurations by residual-mass coverage. Simulation-based scoring is
@@ -952,14 +953,12 @@ func (g *gfit) bestShockCandidate() (Shock, KeywordParams, float64, bool) {
 	// that over-frequent periods do not free-ride. The precise strengths
 	// and the accept/reject decision come from stage B's joint LM + MDL.
 	type config struct {
-		shock Shock
-		score float64
-		peak  int // which residual peak seeded this config
+		shock     Shock
+		score     float64
+		seedStart int // start of the occurrence the seed run falls in
 	}
-	// Thresholds derive from the dominant peak so secondary-peak candidates
-	// are judged on the same scale.
-	emptyLevel := 0.2 * peaks[0].Mass
-	penalty := 0.3 * peaks[0].Mass
+	emptyLevel := 0.2 * seed.Mass
+	penalty := 0.3 * seed.Mass
 	coverage := func(p, anchor, w int) (config, bool) {
 		s := Shock{Keyword: g.keyword, Period: p, Start: anchor, Width: w}
 		occ := s.Occurrences(g.n)
@@ -1004,46 +1003,44 @@ func (g *gfit) bestShockCandidate() (Shock, KeywordParams, float64, bool) {
 		})
 	}
 
+	width := seed.Width
+	if width < 1 {
+		width = 1
+	}
+	if width > g.n/8+1 {
+		width = g.n/8 + 1
+	}
+	// Candidate periodicities: non-cyclic plus ACF/calendar periods that
+	// fit at least two occurrences into the window.
+	periods := []int{NonCyclic}
+	if !g.opts.DisableCycles {
+		cands := stats.DominantPeriods(resid, 4, width+2, 0.15)
+		cands = append(cands, g.opts.CalendarPeriods...)
+		seenP := map[int]bool{}
+		for _, p := range cands {
+			if p <= width || p > g.n/2 || seenP[p] {
+				continue
+			}
+			seenP[p] = true
+			periods = append(periods, p)
+		}
+	}
 	var configs []config
-	for _, peak := range peaks {
-		width := peak.Width
-		if width < 1 {
-			width = 1
-		}
-		if width > g.n/8+1 {
-			width = g.n/8 + 1
-		}
-		// Candidate periodicities: non-cyclic plus ACF/calendar periods
-		// that fit at least two occurrences into the window.
-		periods := []int{NonCyclic}
-		if !g.opts.DisableCycles {
-			cands := stats.DominantPeriods(resid, 4, width+2, 0.15)
-			cands = append(cands, g.opts.CalendarPeriods...)
-			seenP := map[int]bool{}
-			for _, p := range cands {
-				if p <= width || p > g.n/2 || seenP[p] {
+	seen := map[int]bool{}
+	for _, p := range periods {
+		for _, jit := range []int{-2, -1, 0, 1} {
+			for _, base := range anchorCandidates(seed.Start+jit, p) {
+				if base < 0 {
 					continue
 				}
-				seenP[p] = true
-				periods = append(periods, p)
-			}
-		}
-		seen := map[int]bool{}
-		for _, p := range periods {
-			for _, jit := range []int{-2, -1, 0, 1} {
-				for _, base := range anchorCandidates(peak.Start+jit, p) {
-					if base < 0 {
+				for _, w := range []int{width - 1, width, width + 1} {
+					if w < 1 || seen[p*1048576+base*1024+w] {
 						continue
 					}
-					for _, w := range []int{width - 1, width, width + 1} {
-						if w < 1 || seen[p*1048576+base*1024+w] {
-							continue
-						}
-						seen[p*1048576+base*1024+w] = true
-						if c, ok := coverage(p, base, w); ok {
-							c.peak = peak.Start
-							configs = append(configs, c)
-						}
+					seen[p*1048576+base*1024+w] = true
+					if c, ok := coverage(p, base, w); ok {
+						c.seedStart = seed.Start + jit
+						configs = append(configs, c)
 					}
 				}
 			}
@@ -1064,11 +1061,19 @@ func (g *gfit) bestShockCandidate() (Shock, KeywordParams, float64, bool) {
 	if len(configs) < top {
 		top = len(configs)
 	}
-	shortlist := append([]config(nil), configs[:top]...)
+	var shortlist []config
 	hasOneShot := false
-	for _, c := range shortlist {
+	for _, c := range configs[:top] {
 		if c.shock.Period == NonCyclic {
 			hasOneShot = true
+		}
+		// A wide cycle whose recurrences the residuals do not confirm is a
+		// period of the noise, not a recurring event: it never reaches
+		// stage B. Its place is not refilled, so every config that reaches
+		// stage B reached it before, and a fit changes only where a refused
+		// config would have been the accepted winner.
+		if !unconfirmedCycle(&c.shock, c.seedStart, runs) {
+			shortlist = append(shortlist, c)
 		}
 	}
 	if !hasOneShot {
@@ -1273,6 +1278,43 @@ func anchorCandidates(start, period int) []int {
 		sub = append(sub, out[int(float64(i)*step+0.5)])
 	}
 	return sub
+}
+
+// confirmMinOcc is the fewest occurrences a cyclic candidate has before
+// unconfirmedCycle asks its recurrences to show in the residuals.
+const confirmMinOcc = 9
+
+// unconfirmedCycle reports whether the cyclic candidate s is a period of
+// the residual noise rather than a recurring event: it has at least
+// confirmMinOcc occurrences, and fewer than a third of them, the seed's own
+// (the one starting at seedStart) aside, are confirmed. An occurrence is
+// confirmed when one of runs, the residual runs above the seed level other
+// than the seeding one, starts inside [start−2, start+width+2): the
+// occurrence window with stage A's two-tick lag allowance, and as much
+// slack before it. An exogenous event shows as a burst each time it
+// recurs; a period the noise's autocorrelation suggests lands most of its
+// occurrences where no run starts, though coverage still credits them with
+// the noise's positive mass.
+func unconfirmedCycle(s *Shock, seedStart int, runs []stats.Peak) bool {
+	occ := len(s.Strength)
+	if s.Period == NonCyclic || occ < confirmMinOcc {
+		return false
+	}
+	confirmed, others := 0, 0
+	for m := 0; m < occ; m++ {
+		ws := s.OccurrenceStart(m)
+		if ws == seedStart {
+			continue
+		}
+		others++
+		for _, r := range runs {
+			if r.Start >= ws-2 && r.Start < ws+s.Width+2 {
+				confirmed++
+				break
+			}
+		}
+	}
+	return 3*confirmed < others
 }
 
 // fitShockStrengths fits the per-occurrence strengths of s (in time order,
