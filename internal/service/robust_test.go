@@ -243,3 +243,41 @@ func TestModelDecodeErrorNamesWireField(t *testing.T) {
 		}
 	}
 }
+
+// TestRequestDecodeErrorNamesWireField posts mistyped request bodies to the
+// two endpoints that decode a JSON request of their own, /v1/anomalies and
+// a stream append: the 400 names the wire field and the JSON types, not the
+// Go request type behind the handler. An oversized body still answers 413.
+func TestRequestDecodeErrorNamesWireField(t *testing.T) {
+	reg, err := registry.Open(registry.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer((&Server{Workers: 1, Registry: reg, MaxBody: 256}).Handler())
+	t.Cleanup(srv.Close)
+	big := `{"values": [` + strings.Repeat("1,", 200) + `1]}`
+	for _, c := range []struct {
+		path, body string
+		code       int
+		want       string
+	}{
+		{"/v1/anomalies", `{"series": "x"}`, 400, `field "series": got a JSON string, want an array`},
+		{"/v1/anomalies", `{"series": [1, "x"]}`, 400, `field "series": got a JSON string, want a number`},
+		{"/v1/anomalies", `{"threshold": [2]}`, 400, `field "threshold": got a JSON array, want a number`},
+		{"/v1/anomalies", big, 413, "request body too large"},
+		{"/v1/streams/s1/append", `{"values": "x"}`, 400, `field "values": got a JSON string, want an array`},
+		{"/v1/streams/s1/append", `{"values": [1, true]}`, 400, `field "values": got a JSON boolean, want a number`},
+		{"/v1/streams/s1/append", `[1]`, 400, `got a JSON array, want an object`},
+		{"/v1/streams/s1/append", big, 413, "request body too large"},
+	} {
+		resp, body := post(t, srv.URL+c.path, "application/json", c.body)
+		var e struct{ Error string }
+		if err := json.Unmarshal([]byte(body), &e); err != nil {
+			t.Fatalf("%s %.40s: %v in %q", c.path, c.body, err, body)
+		}
+		if resp.StatusCode != c.code || !strings.Contains(e.Error, c.want) ||
+			strings.Contains(e.Error, "Go struct field") || strings.Contains(e.Error, "Request") {
+			t.Errorf("%s %.40s: %d %q; want %d with %q and no Go type", c.path, c.body, resp.StatusCode, e.Error, c.code, c.want)
+		}
+	}
+}

@@ -544,7 +544,7 @@ func (s *Server) handleAnomalies(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.maxBody())
 	var req anomaliesRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		httpError(w, bodyError(err), "parsing request: %v", err)
+		httpError(w, bodyError(err), "parsing request: %v", dataset.WireError(err))
 		return
 	}
 	m, err := decodeModelJSON(req.Model)

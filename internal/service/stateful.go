@@ -353,7 +353,7 @@ func (s *Server) handleStreamAppend(w http.ResponseWriter, r *http.Request) {
 	body := http.MaxBytesReader(w, r.Body, s.maxBody())
 	var req appendRequest
 	if err := json.NewDecoder(body).Decode(&req); err != nil {
-		httpError(w, bodyError(err), "parsing request: %v", err)
+		httpError(w, bodyError(err), "parsing request: %v", dataset.WireError(err))
 		return
 	}
 	if len(req.Values) == 0 {
